@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 namespace vipvt {
@@ -141,10 +139,6 @@ RecoveryReport recover_power(Design& design, StaEngine& sta,
       if (contributions.empty()) {
         if (!scratch_dirty) {
           // Fresh trace, path and fanin fully SVT: genuinely unreachable.
-          if (std::getenv("VIPVT_RECOVERY_DEBUG")) {
-            std::fprintf(stderr, "stuck ep=%zu gap=%.3f pathlen=%zu round=%d\n",
-                         k, gap, path.size(), round);
-          }
           stuck[k] = 1;
           ++new_stuck;
         }

@@ -165,8 +165,9 @@ inline void relax_edges_body(const RelaxEdge* edges, std::size_t num_edges,
   }
 }
 
-/// Relaxation against per-edge precomputed delays (recorner path,
-/// StaEngine::analyze_batch_bases): `to[b] = max(to[b], from[b] + d[b])`.
+/// Relaxation against per-edge precomputed delays (the multi-base
+/// escalation batch, StaEngine::analyze_batch_bases):
+/// `to[b] = max(to[b], from[b] + d[b])`.
 template <class P>
 inline void relax_edges_delays_body(const RelaxEdge* edges,
                                     std::size_t num_edges,

@@ -41,54 +41,33 @@ std::vector<double> CompensationController::chip_factors(
 }
 
 const StaEngine::BaseSnapshot& CompensationController::level_snapshot(int k) {
-  if (k < 0 || k > plan_->num_islands()) {
+  const int chip_wide = plan_->num_islands() + 1;
+  if (k < 0 || k > chip_wide) {
     throw std::invalid_argument("level_snapshot: level out of range");
   }
   if (level_snaps_.empty()) {
-    level_snaps_.resize(static_cast<std::size_t>(plan_->num_islands()) + 1);
+    level_snaps_.resize(static_cast<std::size_t>(chip_wide) + 1);
   }
   auto& slot = level_snaps_[static_cast<std::size_t>(k)];
   if (slot == nullptr) {
-    // Delta-build from the nearest already-cached level: restoring that
-    // snapshot and flipping one island per step through recorner_delta()
-    // costs O(changed cones) per level instead of a full compute_base(),
-    // and lands on bit-identical bases (DESIGN.md §12).  Level k differs
-    // from k-1 only in domain k (corners_for_severity raises domains
-    // 1..k), so the walk flips domain t to high going up, low going down.
-    int nearest = -1;
-    for (int j = 0; j < static_cast<int>(level_snaps_.size()); ++j) {
-      if (level_snaps_[static_cast<std::size_t>(j)] == nullptr) continue;
-      if (nearest < 0 || std::abs(j - k) < std::abs(nearest - k)) nearest = j;
-    }
-    if (nearest < 0) {
-      sta_->compute_base(plan_->corners_for_severity(k));
-    } else {
-      sta_->restore_bases(*level_snaps_[static_cast<std::size_t>(nearest)]);
-      for (int t = nearest + 1; t <= k; ++t) {
-        sta_->recorner_delta(static_cast<DomainId>(t), kVddHigh);
-      }
-      for (int t = nearest; t > k; --t) {
-        sta_->recorner_delta(static_cast<DomainId>(t), kVddLow);
-      }
-    }
+    sta_->compute_base(
+        k == chip_wide
+            ? std::vector<int>(static_cast<std::size_t>(chip_wide), kVddHigh)
+            : plan_->corners_for_severity(k));
     slot = std::make_unique<StaEngine::BaseSnapshot>(sta_->snapshot_bases());
   }
   return *slot;
 }
 
 void CompensationController::set_level(int k) {
+  if (k > plan_->num_islands()) {
+    throw std::invalid_argument("set_level: level out of range");
+  }
   sta_->restore_bases(level_snapshot(k));
 }
 
 void CompensationController::set_chip_wide() {
-  if (chip_wide_snap_ == nullptr) {
-    const std::vector<int> corners(
-        static_cast<std::size_t>(plan_->num_islands()) + 1, kVddHigh);
-    sta_->compute_base(corners);
-    chip_wide_snap_ =
-        std::make_unique<StaEngine::BaseSnapshot>(sta_->snapshot_bases());
-  }
-  sta_->restore_bases(*chip_wide_snap_);
+  sta_->restore_bases(level_snapshot(plan_->num_islands() + 1));
 }
 
 CompensationOutcome CompensationController::compensate(const VirtualChip& chip,
@@ -159,7 +138,7 @@ CompensationOutcome CompensationController::compensate(const VirtualChip& chip,
     const int level = first_level + static_cast<int>(j);
     set_level(level);  // chip_factors reads the level's corner map
     factors[j] = chip_factors(chip);
-    bases[j] = level_snaps_[static_cast<std::size_t>(level)].get();
+    bases[j] = &level_snapshot(level);
   }
   std::vector<StaResult> results(lanes);
   sta_->analyze_batch_bases(bases, factors, results);

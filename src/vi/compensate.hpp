@@ -66,14 +66,11 @@ class CompensationController {
   std::vector<double> chip_factors(const VirtualChip& chip) const;
 
   /// Restore the engine's base delays for severity level k — bit-
-  /// identical to sta.compute_base(plan.corners_for_severity(k)), but
-  /// full NLDM delay calculation runs at most ONCE per controller: the
-  /// first level requested is computed in full, and every other level's
-  /// snapshot is delta-built from the nearest cached neighbour with
-  /// StaEngine::recorner_delta (one island flip per step, cost bounded
-  /// by the flipped domain's fan-out cone — DESIGN.md §12).  Snapshots
-  /// are cached for the controller's lifetime, so a wafer worker reusing
-  /// one controller across dies pays each level once, not once per die.
+  /// identical to sta.compute_base(plan.corners_for_severity(k)).  The
+  /// first request for a level runs that compute_base() and caches its
+  /// snapshot for the controller's lifetime, so a wafer worker reusing
+  /// one controller across dies pays each level once, not once per die
+  /// (DESIGN.md §12).
   void set_level(int k);
 
   /// Same, for the chip-wide all-high fallback assignment (the yield
@@ -83,6 +80,9 @@ class CompensationController {
   const IslandPlan& plan() const { return *plan_; }
 
  private:
+  /// Cached snapshot for slot k: severity level k for k <= num_islands,
+  /// the chip-wide all-high assignment for k == num_islands + 1.  Filled
+  /// on first use by compute_base() at that slot's corner vector.
   const StaEngine::BaseSnapshot& level_snapshot(int k);
 
   const Design* design_;
@@ -90,11 +90,8 @@ class CompensationController {
   const VariationModel* model_;
   const IslandPlan* plan_;
   const RazorPlan* sensors_;
-  /// Cached per-level base snapshots (index 0..num_islands per severity
-  /// level, plus the chip-wide fallback), lazily filled — the first via
-  /// compute_base(), the rest delta-built with recorner_delta().
+  /// Lazily filled level_snapshot() cache, num_islands + 2 slots.
   std::vector<std::unique_ptr<StaEngine::BaseSnapshot>> level_snaps_;
-  std::unique_ptr<StaEngine::BaseSnapshot> chip_wide_snap_;
 };
 
 }  // namespace vipvt

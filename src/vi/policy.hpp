@@ -109,8 +109,8 @@ std::vector<double> instance_criticality(const Design& design,
 /// One compiled (netlist variant, policy mix) pair.  For transforming
 /// mixes it OWNS the rewritten Design, a StaEngine rebuilt over it (same
 /// StaOptions as the baseline engine, bases at all-low — level snapshots
-/// are delta-built per worker through the §12 incremental path exactly
-/// as on the baseline), and an ActivityDb extended so every inserted
+/// are computed and cached per worker, DESIGN.md §12, exactly as on the
+/// baseline), and an ActivityDb extended so every inserted
 /// buffer leg toggles at its source net's rate.  For pure-VI mixes all
 /// three pointers are null and the *_or() accessors resolve to the
 /// baseline references — which is what makes portfolio-on bit-identity

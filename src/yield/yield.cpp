@@ -525,9 +525,8 @@ YieldReport YieldAnalyzer::analyze(const WaferModel& wafer,
 
   // Worker state: an engine clone plus a persistent controller whose
   // per-level base snapshots amortize NLDM delay calculation across all
-  // the dies a worker processes.  Only the first level a worker touches
-  // pays a full compute_base; the controller delta-builds the rest with
-  // recorner_delta (one island's fan-out cone per escalation step).
+  // the dies a worker processes: each level (and the chip-wide fallback)
+  // pays one compute_base the first time the worker touches it.
   struct Worker {
     explicit Worker(const YieldAnalyzer& a)
         : engine(*a.sta_),

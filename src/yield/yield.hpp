@@ -358,10 +358,8 @@ class YieldAnalyzer {
   /// Worker-grade single-die analysis: `ctrl` must be a controller over
   /// `engine` and persists across dies (its per-level base-delay
   /// snapshots amortize NLDM delay calculation across every die the
-  /// worker sees, and all levels past the worker's first are delta-built
-  /// via StaEngine::recorner_delta — one full delay calculation per
-  /// worker, O(island fan-out cone) per additional level, DESIGN.md
-  /// §12); `systematic` is the die's systematic Lgate map —
+  /// worker sees: one compute_base per level the worker touches,
+  /// DESIGN.md §12); `systematic` is the die's systematic Lgate map —
   /// shared by all dies of the same reticle slot.  Bit-identical to
   /// analyze_die().
   /// `triage` is the die's reticle-slot screen entry (nullptr = no

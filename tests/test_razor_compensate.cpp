@@ -258,72 +258,44 @@ TEST_F(CompensateFixture, SetLevelBitIdenticalToComputeBase) {
                std::invalid_argument);
 }
 
-TEST_F(CompensateFixture, LevelSnapshotsAscendingBuildOrderBitIdentical) {
-  // level_snapshot() delta-builds from the NEAREST cached level, so the
-  // request order decides the delta chain's direction.  The descending
-  // order is covered by SetLevelBitIdenticalToComputeBase; this is the
-  // ascending chain (all upward island flips), checked snapshot-for-
-  // snapshot against fresh full recomputes.
-  StaEngine inc_eng(*sta_);
-  CompensationController ctrl(*design_, inc_eng, *model_, *plan_, *razor_);
-  StaEngine ref_eng(*sta_);
-  for (int k = 0; k <= plan_->num_islands(); ++k) {
-    ctrl.set_level(k);
-    ref_eng.compute_base(plan_->corners_for_severity(k));
-    const auto got = inc_eng.snapshot_bases();
-    const auto want = ref_eng.snapshot_bases();
-    EXPECT_EQ(got.edge_base, want.edge_base) << "level " << k;
-    EXPECT_EQ(got.launch_base, want.launch_base) << "level " << k;
-    EXPECT_EQ(got.slew, want.slew) << "level " << k;
-    EXPECT_EQ(got.inst_corner, want.inst_corner) << "level " << k;
+TEST_F(CompensateFixture, LevelSnapshotsBitIdenticalInAnyBuildOrder) {
+  // Each order fills a fresh controller's cache; every snapshot it hands
+  // back must equal a fresh compute_base of that level's corners.
+  // kChipWide visits set_chip_wide() (all domains high) in between.
+  constexpr int kChipWide = -1;
+  const int max_k = plan_->num_islands();
+  std::vector<std::vector<int>> orders(3);
+  for (int k = 0; k <= max_k; ++k) orders[0].push_back(k);  // ascending
+  for (int k = max_k; k >= 0; --k) orders[1].push_back(k);  // descending
+  orders[2].push_back(kChipWide);  // interleaved, second pass all hits
+  for (int pass = 0; pass < 2; ++pass) {
+    for (int k = 0; k <= max_k; ++k) {
+      orders[2].push_back(k);
+      orders[2].push_back(kChipWide);
+    }
   }
-}
-
-TEST_F(CompensateFixture, LevelSnapshotsMatchForcedFullRecornerController) {
-  // Forcing recorner_delta's full-recompute fallback (fraction 0) must
-  // change nothing observable: the delta-built and full-built snapshot
-  // caches are interchangeable byte-for-byte.
-  StaEngine delta_eng(*sta_);
-  StaEngine full_eng(*sta_);
-  full_eng.set_recorner_fallback_fraction(0.0);
-  CompensationController delta_ctrl(*design_, delta_eng, *model_, *plan_,
-                                    *razor_);
-  CompensationController full_ctrl(*design_, full_eng, *model_, *plan_,
-                                   *razor_);
-  for (int k = 0; k <= plan_->num_islands(); ++k) {
-    delta_ctrl.set_level(k);
-    full_ctrl.set_level(k);
-    const auto a = delta_eng.snapshot_bases();
-    const auto b = full_eng.snapshot_bases();
-    EXPECT_EQ(a.edge_base, b.edge_base) << "level " << k;
-    EXPECT_EQ(a.launch_base, b.launch_base) << "level " << k;
-    EXPECT_EQ(a.slew, b.slew) << "level " << k;
-    EXPECT_EQ(a.inst_corner, b.inst_corner) << "level " << k;
-  }
-}
-
-TEST_F(CompensateFixture, CompensateBitIdenticalUnderForcedFullRecorner) {
-  // End-to-end: whole compensation outcomes are unaffected by which
-  // re-cornering path built the level snapshots.
-  StaEngine delta_eng(*sta_);
-  StaEngine full_eng(*sta_);
-  full_eng.set_recorner_fallback_fraction(0.0);
-  CompensationController delta_ctrl(*design_, delta_eng, *model_, *plan_,
-                                    *razor_);
-  CompensationController full_ctrl(*design_, full_eng, *model_, *plan_,
-                                   *razor_);
-  Rng rng(271828);
-  for (int c = 0; c < 6; ++c) {
-    const VirtualChip chip =
-        fabricate_chip(*design_, *model_, worst_loc_, rng);
-    const CompensationOutcome a = delta_ctrl.compensate(chip);
-    const CompensationOutcome b = full_ctrl.compensate(chip);
-    EXPECT_EQ(a.detected_severity, b.detected_severity) << "chip " << c;
-    EXPECT_EQ(a.islands_raised, b.islands_raised) << "chip " << c;
-    EXPECT_EQ(a.timing_met, b.timing_met) << "chip " << c;
-    EXPECT_EQ(a.escalated, b.escalated) << "chip " << c;
-    EXPECT_EQ(a.wns_before, b.wns_before) << "chip " << c;
-    EXPECT_EQ(a.wns_after, b.wns_after) << "chip " << c;
+  for (std::size_t o = 0; o < orders.size(); ++o) {
+    StaEngine eng(*sta_);
+    CompensationController ctrl(*design_, eng, *model_, *plan_, *razor_);
+    StaEngine ref_eng(*sta_);
+    for (const int k : orders[o]) {
+      if (k == kChipWide) {
+        ctrl.set_chip_wide();
+        ref_eng.compute_base(
+            std::vector<int>(static_cast<std::size_t>(max_k) + 1, kVddHigh));
+      } else {
+        ctrl.set_level(k);
+        ref_eng.compute_base(plan_->corners_for_severity(k));
+      }
+      const auto got = eng.snapshot_bases();
+      const auto want = ref_eng.snapshot_bases();
+      EXPECT_EQ(got.edge_base, want.edge_base)
+          << "order " << o << " level " << k;
+      EXPECT_EQ(got.launch_base, want.launch_base)
+          << "order " << o << " level " << k;
+      EXPECT_EQ(got.inst_corner, want.inst_corner)
+          << "order " << o << " level " << k;
+    }
   }
 }
 

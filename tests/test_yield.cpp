@@ -227,22 +227,6 @@ TEST_F(YieldFixture, ReportBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serialize(*wafer_, one_thread), parallel_txt);
 }
 
-TEST_F(YieldFixture, ReportBitIdenticalUnderForcedFullRecorner) {
-  // Wafer workers delta-build their per-level base snapshots through
-  // StaEngine::recorner_delta; forcing the full-recompute fallback in
-  // every worker (fallback fraction 0 propagates through the engine
-  // clones) must reproduce the whole report byte-for-byte.
-  StaEngine full_sta(flow_->sta());
-  full_sta.set_recorner_fallback_fraction(0.0);
-  const YieldAnalyzer full_analyzer(
-      flow_->design(), full_sta, flow_->variation(), flow_->island_plan(),
-      flow_->razor_plan(), flow_->activity(),
-      1.0 / flow_->post_shifter_clock_ns());
-  const YieldReport full_report =
-      full_analyzer.analyze(*wafer_, test_yield_config(), nullptr);
-  EXPECT_EQ(serialize(*wafer_, full_report), serialize(*wafer_, *report_));
-}
-
 // ---- adaptive per-die sampling (DESIGN.md §14) -----------------------------
 
 /// Fixed-budget runs read as the degenerate adaptive case: every die
