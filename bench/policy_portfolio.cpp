@@ -191,15 +191,11 @@ int main(int argc, char** argv) {
   for (MixRun& m : mixes) {
     const std::size_t n = wafer.num_dies();
     const auto shard_record = [&](std::size_t shard_dies) {
-      StaEngine engine(m.compiled.sta_or(flow.sta()));
-      CompensationController ctrl(m.compiled.design_or(flow.design()), engine,
-                                  flow.variation(), flow.island_plan(),
-                                  flow.razor_plan());
+      YieldWorker worker(*m.analyzer);
       YieldAggregate agg;
       for (std::size_t b = 0; b < n; b += shard_dies) {
         const std::size_t e = std::min(n, b + shard_dies);
-        YieldAggregate part =
-            m.analyzer->analyze_shard(engine, ctrl, wafer, yc, b, e);
+        YieldAggregate part = m.analyzer->analyze_shard(worker, wafer, yc, b, e);
         if (b == 0) {
           agg = std::move(part);
         } else {

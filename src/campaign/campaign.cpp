@@ -572,42 +572,29 @@ CampaignReport CampaignRunner::run(const CampaignSpec& spec,
     }
   };
 
-  // Worker state: one {engine clone, controller} per (variant, policy,
-  // sigma) analyzer slot, built lazily on the first job that needs it.
-  // The controller persists across every job the worker runs for that
-  // slot, so its per-level base-delay snapshots amortize NLDM delay
+  // Worker state: one YieldWorker (DESIGN.md §20) per compiled
+  // (variant, policy) netlist, built lazily on the first job that needs
+  // it and shared by every sigma scale of that netlist.  It persists
+  // across every job the pool worker runs on the netlist, so its
+  // controller's per-level base-delay snapshots amortize NLDM delay
   // calculation across the whole campaign (DESIGN.md §12) — on the
-  // policy's compiled netlist exactly as on the baseline.
-  struct SlotState {
-    SlotState(const Design& design, const StaEngine& sta,
-              const VariationModel& model, const IslandPlan& plan,
-              const RazorPlan& sensors)
-        : engine(sta), ctrl(design, engine, model, plan, sensors) {}
-    StaEngine engine;
-    CompensationController ctrl;
-  };
+  // policy's compiled netlist exactly as on the baseline — and its MC
+  // buffers are allocated once.  Its power memo is per shard.
   struct WorkerState {
-    std::vector<std::unique_ptr<SlotState>> slots;
+    std::vector<std::unique_ptr<YieldWorker>> netlists;
   };
-  const std::size_t nsig = spec.sigma_scales.size();
   const auto make_state = [&] {
     WorkerState w;
-    w.slots.resize(plan.analyzers.size());
+    w.netlists.resize(plan.netlists.size());
     return w;
   };
   const auto body = [&](WorkerState& w, std::size_t k) {
     const std::size_t j = first + k;
     const Plan::Job& job = plan.jobs[j];
     const CampaignCell& cell = plan.cells[job.cell];
-    const std::size_t slot = plan.analyzer_index(cell);
-    if (!w.slots[slot]) {
-      const Variant& var = variants_[plan.variant_axis[cell.variant]];
-      const Plan::NetlistSlot& ns = plan.netlists[plan.netlist_index(cell)];
-      w.slots[slot] = std::make_unique<SlotState>(
-          *ns.design, *ns.sta, *plan.models[cell.variant * nsig + cell.sigma],
-          *var.plan, *var.sensors);
-    }
-    SlotState& s = *w.slots[slot];
+    const YieldAnalyzer& analyzer = *plan.analyzers[plan.analyzer_index(cell)];
+    auto& worker = w.netlists[plan.netlist_index(cell)];
+    if (!worker) worker = std::make_unique<YieldWorker>(analyzer);
 
     YieldConfig cfg = cell.config;
     cfg.seed = campaign_wafer_seed(spec.seed, cell.index, job.wafer);
@@ -617,8 +604,8 @@ CampaignReport CampaignRunner::run(const CampaignSpec& spec,
     rec.wafer = job.wafer;
     rec.die_begin = job.die_begin;
     rec.die_end = job.die_end;
-    rec.agg = plan.analyzers[slot]->analyze_shard(
-        s.engine, s.ctrl, plan.wafers[cell.wafer_grid], cfg, job.die_begin,
+    rec.agg = analyzer.analyze_shard(
+        *worker, plan.wafers[cell.wafer_grid], cfg, job.die_begin,
         job.die_end, plan.maps_for(cell), plan.screens[job.cell]);
 
     std::lock_guard<std::mutex> lock(mu);

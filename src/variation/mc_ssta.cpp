@@ -42,29 +42,30 @@ MonteCarloSsta::MonteCarloSsta(const Design& design, const StaEngine& sta,
 
 namespace {
 
-/// Worker-local state of the sampling loop: an engine clone (mutable
-/// scratch), lane buffers for `width` samples, and per-endpoint tallies.
-/// Tallies are unsigned counts so the cross-worker merge is exact
-/// integer addition — bit-identical no matter which worker counted what.
-struct McWorker {
-  explicit McWorker(const StaEngine& sta, int width, std::size_t num_eps,
-                    std::size_t num_inst, DrawProfile profile)
-      : engine(sta), results(static_cast<std::size_t>(width)),
-        crit(num_eps, 0), stage_crit(num_eps, 0) {
-    if (profile != DrawProfile::Scalar) {
-      factor_soa.resize(num_inst * static_cast<std::size_t>(width));
-    } else {
-      factors.resize(static_cast<std::size_t>(width));
+/// Sizes `s` for a run and zeroes its tallies.  Buffers only grow, so a
+/// scratch reused across runs stops allocating once it has seen the
+/// widest one.  Tallies are unsigned counts so the cross-worker merge is
+/// exact integer addition — bit-identical no matter which worker counted
+/// what.
+void prepare_scratch(McScratch& s, std::size_t width, std::size_t num_eps,
+                     std::size_t num_inst, DrawProfile profile) {
+  if (s.results.size() < width) s.results.resize(width);
+  if (profile != DrawProfile::Scalar) {
+    if (s.factor_soa.size() < num_inst * width) {
+      s.factor_soa.resize(num_inst * width);
     }
+  } else if (s.factors.size() < width) {
+    s.factors.resize(width);
   }
+  s.crit.assign(num_eps, 0);
+  s.stage_crit.assign(num_eps, 0);
+}
 
+/// A pooled run's worker: an engine copy (mutable scratch) plus lanes.
+struct McWorker {
+  explicit McWorker(const StaEngine& sta) : engine(sta) {}
   StaEngine engine;
-  std::vector<std::vector<double>> factors;  ///< Scalar profile lanes
-  AlignedVec<double> factor_soa;  ///< Batched/BatchedSimd lanes (SoA, 64B)
-  VariationModel::DrawScratch scratch;
-  std::vector<StaResult> results;
-  std::vector<std::uint32_t> crit;        ///< samples with slack < 0
-  std::vector<std::uint32_t> stage_crit;  ///< samples setting stage WNS
+  McScratch lanes;
 };
 
 }  // namespace
@@ -77,8 +78,8 @@ McResult MonteCarloSsta::run(const DieLocation& loc, const McConfig& cfg,
 }
 
 McResult MonteCarloSsta::run_with_systematic(
-    std::span<const double> systematic, const McConfig& cfg,
-    ThreadPool* pool) const {
+    std::span<const double> systematic, const McConfig& cfg, ThreadPool* pool,
+    McScratch* scratch) const {
   const AdaptivePolicy& ap = cfg.adaptive;
   if (ap.enabled &&
       (ap.min_samples < 1 || ap.max_samples < ap.min_samples ||
@@ -105,7 +106,7 @@ McResult MonteCarloSsta::run_with_systematic(
   result.endpoint_stage_crit.assign(num_eps, 0);
   if (budget <= 0) return result;
   const auto cap = static_cast<std::size_t>(budget);
-  const int width = std::max(cfg.batch, 1);
+  const auto width = static_cast<std::size_t>(std::max(cfg.batch, 1));
   const std::size_t num_inst = design_->num_instances();
   result.min_period_samples.reserve(cap);
 
@@ -125,11 +126,13 @@ McResult MonteCarloSsta::run_with_systematic(
   std::vector<std::array<double, kNumPipeStages>> stage_wns(cap);
   std::vector<double> min_period(cap);
 
-  // Workers are leased per parallel_for call and returned to the idle
-  // list afterwards, so adaptive rounds reuse engine clones instead of
-  // re-copying the StaEngine every round.  Which worker counted which
-  // endpoint tally is schedule-dependent, but the final merge is exact
-  // integer addition — order-free by construction.
+  // Pooled runs lease workers per parallel_for call and return them to
+  // the idle list afterwards, so adaptive rounds reuse engine copies
+  // instead of re-copying the StaEngine every round.  Which worker
+  // counted which endpoint tally is schedule-dependent, but the final
+  // merge is exact integer addition — order-free by construction.  A
+  // serial run needs no copy: it propagates on the caller's engine and
+  // draws into the caller's scratch (or a local one).
   std::mutex workers_mu;
   std::vector<std::shared_ptr<McWorker>> workers, idle;
   auto make_worker = [&]() -> std::shared_ptr<McWorker> {
@@ -139,30 +142,32 @@ McResult MonteCarloSsta::run_with_systematic(
       idle.pop_back();
       return w;
     }
-    auto w =
-        std::make_shared<McWorker>(*sta_, width, num_eps, num_inst,
-                                   cfg.profile);
+    auto w = std::make_shared<McWorker>(*sta_);
+    prepare_scratch(w->lanes, width, num_eps, num_inst, cfg.profile);
     workers.push_back(w);
     return w;
   };
+  McScratch local;
+  McScratch& serial = scratch != nullptr ? *scratch : local;
+  if (pool == nullptr) {
+    prepare_scratch(serial, width, num_eps, num_inst, cfg.profile);
+  }
 
-  const std::size_t total_batches =
-      (cap + static_cast<std::size_t>(width) - 1) /
-      static_cast<std::size_t>(width);
-  auto process_batch = [&](McWorker& w, std::size_t bi) {
-    const std::size_t first = bi * static_cast<std::size_t>(width);
-    const std::size_t lanes =
-        std::min<std::size_t>(static_cast<std::size_t>(width), cap - first);
+  const std::size_t total_batches = (cap + width - 1) / width;
+  auto process_batch = [&](const StaEngine& engine, McScratch& w,
+                           std::size_t bi) {
+    const std::size_t first = bi * width;
+    const std::size_t lanes = std::min(width, cap - first);
     if (cfg.profile != DrawProfile::Scalar) {
       // Draw all lanes in one pass directly into the SoA layout the
       // propagation kernel consumes; no per-batch transpose.  BatchedSimd
       // only swaps the bulk normal stream (Rng::normals_simd); the rest
       // of the engine is shared with Batched.
       model_->draw_factors_batch(
-          *design_, w.engine, systematic, stencils, cfg.seed, first, lanes,
-          std::span(w.factor_soa).first(num_inst * lanes), w.scratch,
+          *design_, engine, systematic, stencils, cfg.seed, first, lanes,
+          std::span(w.factor_soa).first(num_inst * lanes), w.draw,
           cfg.profile == DrawProfile::BatchedSimd);
-      w.engine.analyze_batch_soa(
+      engine.analyze_batch_soa(
           std::span<const double>(w.factor_soa).first(num_inst * lanes),
           lanes, std::span(w.results).first(lanes));
       // (lanes is the SoA stride: the tail batch packs tightly, and every
@@ -170,14 +175,14 @@ McResult MonteCarloSsta::run_with_systematic(
     } else {
       for (std::size_t l = 0; l < lanes; ++l) {
         Rng rng(substream_seed(cfg.seed, first + l));
-        model_->draw_factors(*design_, w.engine, systematic, stencils, rng,
+        model_->draw_factors(*design_, engine, systematic, stencils, rng,
                              w.factors[l]);
       }
       if (width == 1) {
-        w.results[0] = w.engine.analyze(w.factors[0]);
+        w.results[0] = engine.analyze(w.factors[0]);
       } else {
-        w.engine.analyze_batch(std::span(w.factors).first(lanes),
-                               std::span(w.results).first(lanes));
+        engine.analyze_batch(std::span(w.factors).first(lanes),
+                             std::span(w.results).first(lanes));
       }
     }
     for (std::size_t l = 0; l < lanes; ++l) {
@@ -196,17 +201,16 @@ McResult MonteCarloSsta::run_with_systematic(
   };
 
   auto run_batches = [&](std::size_t first_batch, std::size_t count) {
-    if (pool != nullptr) {
-      parallel_for(*pool, count, make_worker,
-                   [&](std::shared_ptr<McWorker>& w, std::size_t bi) {
-                     process_batch(*w, first_batch + bi);
-                   });
-    } else {
-      const auto w = make_worker();
+    if (pool == nullptr) {
       for (std::size_t bi = 0; bi < count; ++bi) {
-        process_batch(*w, first_batch + bi);
+        process_batch(*sta_, serial, first_batch + bi);
       }
+      return;
     }
+    parallel_for(*pool, count, make_worker,
+                 [&](std::shared_ptr<McWorker>& w, std::size_t bi) {
+                   process_batch(w->engine, w->lanes, first_batch + bi);
+                 });
     // The parallel_for barrier has passed: every lease is back.
     const std::lock_guard<std::mutex> lock(workers_mu);
     idle = workers;
@@ -233,8 +237,7 @@ McResult MonteCarloSsta::run_with_systematic(
           std::min(cadence, total_batches - batches_done);
       run_batches(batches_done, round);
       batches_done += round;
-      const std::size_t n_now =
-          std::min(cap, batches_done * static_cast<std::size_t>(width));
+      const std::size_t n_now = std::min(cap, batches_done * width);
       for (std::size_t k = accumulated; k < n_now; ++k) {
         for (int s = 0; s < kNumPipeStages; ++s) {
           const double wns = stage_wns[k][static_cast<std::size_t>(s)];
@@ -289,12 +292,14 @@ McResult MonteCarloSsta::run_with_systematic(
     }
     result.min_period_samples.push_back(min_period[k]);
   }
-  for (const auto& w : workers) {
+  const auto tally = [&](const McScratch& w) {
     for (std::size_t epi = 0; epi < num_eps; ++epi) {
-      result.endpoint_crit_prob[epi] += static_cast<double>(w->crit[epi]);
-      result.endpoint_stage_crit[epi] += w->stage_crit[epi];
+      result.endpoint_crit_prob[epi] += static_cast<double>(w.crit[epi]);
+      result.endpoint_stage_crit[epi] += w.stage_crit[epi];
     }
-  }
+  };
+  if (pool == nullptr) tally(serial);
+  for (const auto& w : workers) tally(w->lanes);
 
   const double inv_n = 1.0 / static_cast<double>(num_samples);
   for (auto& p : result.endpoint_crit_prob) p *= inv_n;

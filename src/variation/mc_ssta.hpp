@@ -147,13 +147,31 @@ struct McResult {
   int num_violating_stages() const;
 };
 
+/// Lane buffers and endpoint tallies of one sampling worker.  A serial
+/// run borrows a caller-owned McScratch when given one, so a caller that
+/// runs MC die after die (a yield worker, DESIGN.md §20) allocates the
+/// buffers once instead of once per run.  Every run re-sizes and clears
+/// what it reads, so a scratch carries no state between runs: any run
+/// with a reused scratch is bit-identical to one with a fresh scratch.
+/// Not shareable between concurrent runs.
+struct McScratch {
+  std::vector<std::vector<double>> factors;  ///< Scalar profile lanes
+  AlignedVec<double> factor_soa;  ///< Batched/BatchedSimd lanes (SoA, 64B)
+  VariationModel::DrawScratch draw;
+  std::vector<StaResult> results;
+  std::vector<std::uint32_t> crit;        ///< samples with slack < 0
+  std::vector<std::uint32_t> stage_crit;  ///< samples setting stage WNS
+};
+
 class MonteCarloSsta {
  public:
-  /// Sampling never mutates the engine (analyze() is const apart from
-  /// its per-engine scratchpad), so a const reference suffices.  NOTE:
-  /// the scratchpad means two threads must not sample through the SAME
-  /// engine concurrently — give each worker its own copy (StaEngine is
-  /// cheaply copyable precisely for this).
+  /// Sampling never mutates the engine's bases or corners, so a const
+  /// reference suffices.  A serial run propagates on `sta` itself, which
+  /// writes its analysis scratchpad: the same thread-safety as
+  /// StaEngine::analyze() const — two threads must not sample through
+  /// the SAME engine concurrently (give each its own copy; StaEngine is
+  /// cheaply copyable precisely for this).  Pooled runs propagate on
+  /// per-worker engine copies and leave `sta` untouched.
   MonteCarloSsta(const Design& design, const StaEngine& sta,
                  const VariationModel& model);
 
@@ -184,10 +202,12 @@ class MonteCarloSsta {
   /// wafer path: all dies in a reticle slot share the map, so the
   /// YieldAnalyzer computes it once per slot instead of once per die.
   /// Bit-identical to run(loc, ...) when the map equals the one loc
-  /// would produce.
+  /// would produce.  A serial run (`pool == nullptr`) draws into
+  /// `scratch` when one is given (ignored by pooled runs, whose workers
+  /// own their buffers); results never depend on it.
   McResult run_with_systematic(std::span<const double> systematic,
-                               const McConfig& cfg,
-                               ThreadPool* pool = nullptr) const;
+                               const McConfig& cfg, ThreadPool* pool = nullptr,
+                               McScratch* scratch = nullptr) const;
 
  private:
   const Design* design_;

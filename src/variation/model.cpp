@@ -105,10 +105,9 @@ double VariationModel::systematic_lgate(Point cell_pos_um,
   return field_->lgate_at(f.x, f.y);
 }
 
-double VariationModel::sample_lgate(Point cell_pos_um, const DieLocation& loc,
+double VariationModel::sample_lgate(double systematic_nm, Point cell_pos_um,
                                     Rng& rng,
                                     const CorrelatedField* field) const {
-  const double sys = systematic_lgate(cell_pos_um, loc);
   double eps;
   if (field != nullptr && field->active()) {
     eps = field->at(cell_pos_um) + rng.normal(0.0, sigma_independent_nm());
@@ -117,7 +116,7 @@ double VariationModel::sample_lgate(Point cell_pos_um, const DieLocation& loc,
   }
   eps = std::clamp(eps, -cfg_.clamp_sigma * sigma_rnd_,
                    cfg_.clamp_sigma * sigma_rnd_);
-  return sys + eps;
+  return systematic_nm + eps;
 }
 
 double VariationModel::delay_factor(double lgate_nm, int corner,

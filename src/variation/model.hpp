@@ -106,6 +106,16 @@ class VariationModel {
   /// correlated field is supplied (and configured), the random part is
   /// split between the shared field and an independent residual.
   double sample_lgate(Point cell_pos_um, const DieLocation& loc, Rng& rng,
+                      const CorrelatedField* field = nullptr) const {
+    return sample_lgate(systematic_lgate(cell_pos_um, loc), cell_pos_um, rng,
+                        field);
+  }
+
+  /// The same draw around a precomputed systematic Lgate [nm] (an entry
+  /// of systematic_lgates()): consumes the identical RNG stream and
+  /// returns the identical bits when `systematic_nm` is the value the
+  /// overload above would evaluate.  This is the one body of the draw.
+  double sample_lgate(double systematic_nm, Point cell_pos_um, Rng& rng,
                       const CorrelatedField* field = nullptr) const;
 
   /// Draw the per-sample correlated within-die component (inactive field

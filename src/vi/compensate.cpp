@@ -7,6 +7,16 @@ namespace vipvt {
 
 VirtualChip fabricate_chip(const Design& design, const VariationModel& model,
                            const DieLocation& loc, Rng& rng) {
+  return fabricate_chip(design, model, loc,
+                        model.systematic_lgates(design, loc), rng);
+}
+
+VirtualChip fabricate_chip(const Design& design, const VariationModel& model,
+                           const DieLocation& loc,
+                           std::span<const double> systematic, Rng& rng) {
+  if (systematic.size() != design.num_instances()) {
+    throw std::invalid_argument("fabricate_chip: systematic map size mismatch");
+  }
   VirtualChip chip;
   chip.loc = loc;
   chip.lgate_nm.resize(design.num_instances());
@@ -17,7 +27,7 @@ VirtualChip fabricate_chip(const Design& design, const VariationModel& model,
     if (!inst.placed) {
       throw std::logic_error("fabricate_chip: unplaced instance");
     }
-    chip.lgate_nm[i] = model.sample_lgate(inst.pos, loc, rng, fp);
+    chip.lgate_nm[i] = model.sample_lgate(systematic[i], inst.pos, rng, fp);
   }
   return chip;
 }
@@ -32,42 +42,68 @@ CompensationController::CompensationController(const Design& design,
 
 std::vector<double> CompensationController::chip_factors(
     const VirtualChip& chip) const {
-  std::vector<double> factors(chip.lgate_nm.size());
-  for (InstId i = 0; i < factors.size(); ++i) {
-    factors[i] = model_->delay_factor(chip.lgate_nm[i], sta_->inst_corner(i),
-                                      design_->cell_of(i).vth);
-  }
+  std::vector<double> factors;
+  fill_factors(chip, factors);
   return factors;
 }
 
-const StaEngine::BaseSnapshot& CompensationController::level_snapshot(int k) {
+void CompensationController::fill_factors(const VirtualChip& chip,
+                                          std::vector<double>& out) const {
+  out.resize(chip.lgate_nm.size());
+  for (InstId i = 0; i < out.size(); ++i) {
+    out[i] = model_->delay_factor(chip.lgate_nm[i], sta_->inst_corner(i),
+                                  design_->cell_of(i).vth);
+  }
+}
+
+const CompensationController::Level& CompensationController::level(int k) {
   const int chip_wide = plan_->num_islands() + 1;
   if (k < 0 || k > chip_wide) {
-    throw std::invalid_argument("level_snapshot: level out of range");
+    throw std::invalid_argument("CompensationController: level out of range");
   }
-  if (level_snaps_.empty()) {
-    level_snaps_.resize(static_cast<std::size_t>(chip_wide) + 1);
+  if (levels_.empty()) {
+    levels_.resize(static_cast<std::size_t>(chip_wide) + 1);
   }
-  auto& slot = level_snaps_[static_cast<std::size_t>(k)];
+  auto& slot = levels_[static_cast<std::size_t>(k)];
   if (slot == nullptr) {
+    const Level* base = k == 0 ? nullptr : &level(0);
     sta_->compute_base(
         k == chip_wide
             ? std::vector<int>(static_cast<std::size_t>(chip_wide), kVddHigh)
             : plan_->corners_for_severity(k));
-    slot = std::make_unique<StaEngine::BaseSnapshot>(sta_->snapshot_bases());
+    auto lv = std::make_unique<Level>();
+    lv->snap = sta_->snapshot_bases();
+    if (base != nullptr) {
+      for (InstId i = 0; i < lv->snap.inst_corner.size(); ++i) {
+        if (lv->snap.inst_corner[i] != base->snap.inst_corner[i]) {
+          lv->flipped.push_back(i);
+        }
+      }
+    }
+    slot = std::move(lv);
   }
   return *slot;
+}
+
+void CompensationController::level_factors(const VirtualChip& chip, int k,
+                                           std::vector<double>& out) {
+  const Level& lv = level(k);
+  out = f0_;
+  for (const InstId i : lv.flipped) {
+    out[i] = model_->delay_factor(chip.lgate_nm[i], lv.snap.inst_corner[i],
+                                  design_->cell_of(i).vth);
+  }
 }
 
 void CompensationController::set_level(int k) {
   if (k > plan_->num_islands()) {
     throw std::invalid_argument("set_level: level out of range");
   }
-  sta_->restore_bases(level_snapshot(k));
+  sta_->restore_bases(level(k).snap);
 }
 
 void CompensationController::set_chip_wide() {
-  sta_->restore_bases(level_snapshot(plan_->num_islands() + 1));
+  sta_->restore_bases(level(plan_->num_islands() + 1).snap);
 }
 
 CompensationOutcome CompensationController::compensate(const VirtualChip& chip,
@@ -79,8 +115,8 @@ CompensationOutcome CompensationController::compensate(const VirtualChip& chip,
 
   // --- post-silicon test at the nominal supply ----------------------------
   set_level(0);
-  const std::vector<double> f0 = chip_factors(chip);
-  const StaResult truth0 = sta_->analyze(f0);
+  fill_factors(chip, f0_);
+  const StaResult truth0 = sta_->analyze(f0_);
   out.wns_before = truth0.wns;
   out.sensor_stage_flags = sensor_flags(*sta_, *sensors_, truth0);
   for (PipeStage s :
@@ -114,9 +150,10 @@ CompensationOutcome CompensationController::compensate(const VirtualChip& chip,
     out.islands_raised = 0;
     out.timing_met = truth0.wns >= 0.0;
   } else {
+    if (lane_factors_.empty()) lane_factors_.resize(1);
+    level_factors(chip, detected, lane_factors_[0]);
     set_level(detected);
-    const std::vector<double> fk = chip_factors(chip);
-    const StaResult truth = sta_->analyze(fk);
+    const StaResult truth = sta_->analyze(lane_factors_[0]);
     out.wns_after = truth.wns;
     out.islands_raised = detected;
     out.timing_met = truth.wns >= 0.0;
@@ -133,15 +170,16 @@ CompensationOutcome CompensationController::compensate(const VirtualChip& chip,
   const int first_level = detected + 1;
   const auto lanes = static_cast<std::size_t>(max_k - detected);
   std::vector<const StaEngine::BaseSnapshot*> bases(lanes);
-  std::vector<std::vector<double>> factors(lanes);
+  if (lane_factors_.size() < lanes) lane_factors_.resize(lanes);
   for (std::size_t j = 0; j < lanes; ++j) {
-    const int level = first_level + static_cast<int>(j);
-    set_level(level);  // chip_factors reads the level's corner map
-    factors[j] = chip_factors(chip);
-    bases[j] = &level_snapshot(level);
+    const int k = first_level + static_cast<int>(j);
+    level_factors(chip, k, lane_factors_[j]);
+    bases[j] = &level(k).snap;
   }
   std::vector<StaResult> results(lanes);
-  sta_->analyze_batch_bases(bases, factors, results);
+  sta_->analyze_batch_bases(
+      bases, std::span<const std::vector<double>>(lane_factors_).first(lanes),
+      results);
   std::size_t chosen = lanes - 1;  // none passing => stop at max_k
   for (std::size_t j = 0; j < lanes; ++j) {
     if (results[j].wns >= 0.0) {

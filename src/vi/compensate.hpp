@@ -18,6 +18,7 @@
 
 #include <array>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "variation/model.hpp"
@@ -31,9 +32,20 @@ struct VirtualChip {
   std::vector<double> lgate_nm;  ///< per instance, fabricated gate lengths
 };
 
-/// Draw one fabricated die.
+/// Draw one fabricated die.  Evaluates the exposure polynomial at every
+/// gate (VariationModel::systematic_lgates) and delegates to the
+/// slot-map overload below.
 VirtualChip fabricate_chip(const Design& design, const VariationModel& model,
                            const DieLocation& loc, Rng& rng);
+
+/// Draw one fabricated die around a precomputed systematic Lgate map
+/// (VariationModel::systematic_lgates at `loc`, one entry per instance):
+/// the wafer path, where every die of a reticle slot shares the map.
+/// Consumes the identical RNG stream and yields bit-identical gate
+/// lengths to the location overload.
+VirtualChip fabricate_chip(const Design& design, const VariationModel& model,
+                           const DieLocation& loc,
+                           std::span<const double> systematic, Rng& rng);
 
 struct CompensationOutcome {
   std::array<bool, kNumPipeStages> sensor_stage_flags{};
@@ -57,7 +69,11 @@ class CompensationController {
   /// Runs detection + island raising (+ optional escalation) on one die.
   /// Escalation evaluates every remaining level as one multi-base
   /// analyze_batch_bases() batch (lane = level); the outcome is
-  /// bit-identical to the historical one-level-at-a-time walk.
+  /// bit-identical to the historical one-level-at-a-time walk.  Level-k
+  /// factors are derived from the die's level-0 factors by recomputing
+  /// only the instances level k flips to another corner (DESIGN.md §20),
+  /// bit-identical to chip_factors() after set_level(k).  Leaves the
+  /// engine at the final level's bases.
   CompensationOutcome compensate(const VirtualChip& chip,
                                  bool allow_escalation = true);
 
@@ -77,21 +93,46 @@ class CompensationController {
   /// analyzer's last resort before discarding a die).
   void set_chip_wide();
 
+  /// Re-point the controller at another variation model of the same
+  /// process (a sigma-scaled copy, say).  Keeps the level cache: base
+  /// delays and corners never depend on the model, only the per-die
+  /// delay factors do.
+  void set_model(const VariationModel& model) { model_ = &model; }
+
   const IslandPlan& plan() const { return *plan_; }
 
  private:
-  /// Cached snapshot for slot k: severity level k for k <= num_islands,
-  /// the chip-wide all-high assignment for k == num_islands + 1.  Filled
-  /// on first use by compute_base() at that slot's corner vector.
-  const StaEngine::BaseSnapshot& level_snapshot(int k);
+  /// One cached level: slot k is severity level k for k <= num_islands,
+  /// the chip-wide all-high assignment for k == num_islands + 1.
+  struct Level {
+    StaEngine::BaseSnapshot snap;
+    /// Instances whose corner differs from level 0's, ascending.
+    std::vector<InstId> flipped;
+  };
+  /// Level k, filled on first use by compute_base() at its corner vector
+  /// (level 0 first, which the flipped list is taken against).  May
+  /// leave the engine at any level's bases.
+  const Level& level(int k);
+
+  /// chip_factors() into a reused buffer.
+  void fill_factors(const VirtualChip& chip, std::vector<double>& out) const;
+
+  /// out = level k's factors of `chip`, given its level-0 factors in
+  /// f0_: f0_ with level k's flipped instances re-evaluated at their
+  /// corner.
+  void level_factors(const VirtualChip& chip, int k, std::vector<double>& out);
 
   const Design* design_;
   StaEngine* sta_;
   const VariationModel* model_;
   const IslandPlan* plan_;
   const RazorPlan* sensors_;
-  /// Lazily filled level_snapshot() cache, num_islands + 2 slots.
-  std::vector<std::unique_ptr<StaEngine::BaseSnapshot>> level_snaps_;
+  /// Lazily filled level() cache, num_islands + 2 slots.
+  std::vector<std::unique_ptr<Level>> levels_;
+  /// Per-die factor buffers, reused across compensate() calls: the
+  /// level-0 fill and one lane per escalation level.
+  std::vector<double> f0_;
+  std::vector<std::vector<double>> lane_factors_;
 };
 
 }  // namespace vipvt

@@ -139,6 +139,21 @@ YieldAnalyzer::YieldAnalyzer(const Design& design, const StaEngine& sta,
       sensors_(&sensors), activity_(&activity), power_(design, activity),
       clock_freq_ghz_(clock_freq_ghz) {}
 
+YieldWorker::YieldWorker(const YieldAnalyzer& analyzer)
+    : netlist_(analyzer.netlist_key()), engine_(*analyzer.sta_),
+      ctrl_(*analyzer.design_, engine_, *analyzer.model_, *analyzer.plan_,
+            *analyzer.sensors_),
+      levels_(static_cast<std::size_t>(analyzer.plan_->num_islands()) + 2) {}
+
+void YieldAnalyzer::begin_call(YieldWorker& worker, std::size_t slots) const {
+  if (worker.netlist_ != netlist_key()) {
+    throw std::invalid_argument(
+        "YieldAnalyzer: worker was built over another netlist");
+  }
+  worker.ctrl_.set_model(*model_);
+  worker.power_.assign(slots * worker.levels_, YieldWorker::PowerMemo{});
+}
+
 YieldAnalyzer YieldAnalyzer::from_flow(const Flow& flow) {
   if (!flow.sensors_planned() || !flow.activity_simulated()) {
     throw std::logic_error(
@@ -290,6 +305,22 @@ DieOutcome YieldAnalyzer::analyze_die_with(
     StaEngine& engine, CompensationController& ctrl, const WaferDie& die,
     const YieldConfig& cfg, std::span<const double> systematic,
     const SlotTriage* triage) const {
+  return die_outcome(engine, ctrl, nullptr, 0, die, cfg, systematic, triage);
+}
+
+DieOutcome YieldAnalyzer::worker_die(
+    YieldWorker& worker, const WaferModel& wafer, const WaferDie& die,
+    const YieldConfig& cfg, std::span<const std::vector<double>> slot_maps,
+    std::span<const SlotTriage> screen) const {
+  const std::size_t slot = reticle_slot(wafer, die);
+  return die_outcome(worker.engine_, worker.ctrl_, &worker, slot, die, cfg,
+                     slot_maps[slot], screen.empty() ? nullptr : &screen[slot]);
+}
+
+DieOutcome YieldAnalyzer::die_outcome(
+    StaEngine& engine, CompensationController& ctrl, YieldWorker* worker,
+    std::size_t slot, const WaferDie& die, const YieldConfig& cfg,
+    std::span<const double> systematic, const SlotTriage* triage) const {
   DieOutcome out;
   out.die_id = die.id;
 
@@ -304,7 +335,6 @@ DieOutcome YieldAnalyzer::analyze_die_with(
   // the confidence band takes the analytic verdict instead and skips MC
   // — but still consumes the would-be MC seed so every downstream draw
   // (fabrication) stays bit-identical to the MC path.
-  ctrl.set_level(0);
   const EvalTier tier = cfg.effective_tier();
   if (tier != EvalTier::Flat && triage != nullptr && triage->decided) {
     (void)die_rng.next();  // the MC seed the skipped run would have taken
@@ -317,10 +347,15 @@ DieOutcome YieldAnalyzer::analyze_die_with(
     out.mc_stop = McStop::FixedBudget;
     out.fmax_ghz = triage->fmax_ghz;
   } else {
+    // Only MC reads the engine's bases here; compensate() restores level
+    // 0 itself, so decided dies skip this restore.
+    ctrl.set_level(0);
     McConfig mcc = cfg.mc;
     mcc.seed = die_rng.next();
-    const McResult mc = MonteCarloSsta(*design_, engine, *model_)
-                            .run_with_systematic(systematic, mcc);
+    const McResult mc =
+        MonteCarloSsta(*design_, engine, *model_)
+            .run_with_systematic(systematic, mcc, nullptr,
+                                 worker != nullptr ? &worker->mc_ : nullptr);
     out.mc_severity = mc.num_violating_stages();
     out.mc_samples = mc.samples;
     out.mc_stop = mc.stopping_reason;
@@ -338,10 +373,12 @@ DieOutcome YieldAnalyzer::analyze_die_with(
     }
   }
 
-  // 2-3. This wafer's silicon + post-silicon policy selection.
+  // 2-3. This wafer's silicon + post-silicon policy selection.  The
+  // slot's systematic map stands in for per-gate exposure-polynomial
+  // evaluation (same bits, see fabricate_chip).
   Rng fab_rng = die_rng.fork();
   const VirtualChip chip =
-      fabricate_chip(*design_, *model_, die.location, fab_rng);
+      fabricate_chip(*design_, *model_, die.location, systematic, fab_rng);
   const CompensationOutcome comp = ctrl.compensate(chip, cfg.allow_escalation);
   out.detected_severity = comp.detected_severity;
   out.islands_raised = comp.islands_raised;
@@ -351,15 +388,12 @@ DieOutcome YieldAnalyzer::analyze_die_with(
   out.wns_final_ns = comp.wns_after;
   out.timing_met = comp.timing_met;
 
-  std::vector<int> corners;
+  const int chip_wide = plan_->num_islands() + 1;
   if (comp.timing_met) {
     out.policy = comp.islands_raised == 0 ? TuningPolicy::AllLow
                                           : TuningPolicy::NestedIslands;
-    corners = plan_->corners_for_severity(comp.islands_raised);
   } else if (cfg.allow_chip_wide_fallback) {
     // Even all islands failed: the paper's chip-wide adaptive baseline.
-    corners.assign(static_cast<std::size_t>(plan_->num_islands()) + 1,
-                   kVddHigh);
     ctrl.set_chip_wide();
     const StaResult truth = engine.analyze(ctrl.chip_factors(chip));
     out.wns_final_ns = truth.wns;
@@ -372,20 +406,39 @@ DieOutcome YieldAnalyzer::analyze_die_with(
   } else {
     out.policy = TuningPolicy::Discard;
   }
-  if (out.policy == TuningPolicy::Discard) corners.clear();  // all-low power
 
-  // 4. Power under the selected supply assignment.  The shared engine
-  // carries the per-net caps; the slot's systematic map stands in for
-  // per-instance exposure-polynomial evaluation (same bits, see
-  // PowerConfig::systematic).
-  PowerConfig pc;
-  pc.clock_freq_ghz = clock_freq_ghz_;
-  pc.variation = model_;
-  pc.location = &die.location;
-  pc.systematic = systematic;
-  const PowerBreakdown p = power_.compute(corners, pc);
-  out.total_mw = p.total_mw();
-  out.leakage_mw = p.leakage_mw;
+  // 4. Power under the selected supply assignment.  Its inputs are the
+  // slot's systematic map (standing in for per-instance exposure-
+  // polynomial evaluation, see PowerConfig::systematic) and the supply
+  // level — nothing die-specific — so a worker computes it once per
+  // (slot, level) and replays the bits for every later die
+  // (DESIGN.md §20).  A discarded die reports all-low power: level 0.
+  int level = 0;
+  if (out.policy == TuningPolicy::ChipWideHigh) {
+    level = chip_wide;
+  } else if (out.policy != TuningPolicy::Discard) {
+    level = comp.islands_raised;
+  }
+  YieldWorker::PowerMemo direct;
+  YieldWorker::PowerMemo& memo =
+      worker != nullptr ? worker->power_[slot * worker->levels_ +
+                                         static_cast<std::size_t>(level)]
+                        : direct;
+  if (!memo.valid) {
+    PowerConfig pc;
+    pc.clock_freq_ghz = clock_freq_ghz_;
+    pc.variation = model_;
+    pc.location = &die.location;
+    pc.systematic = systematic;
+    const PowerBreakdown p = power_.compute(
+        level == chip_wide
+            ? std::vector<int>(static_cast<std::size_t>(chip_wide), kVddHigh)
+            : plan_->corners_for_severity(level),
+        pc);
+    memo = {true, p.total_mw(), p.leakage_mw};
+  }
+  out.total_mw = memo.total_mw;
+  out.leakage_mw = memo.leakage_mw;
   return out;
 }
 
@@ -411,8 +464,8 @@ std::vector<std::vector<double>> YieldAnalyzer::reticle_slot_maps(
 }
 
 YieldAggregate YieldAnalyzer::analyze_shard(
-    StaEngine& engine, CompensationController& ctrl, const WaferModel& wafer,
-    const YieldConfig& cfg, std::size_t die_begin, std::size_t die_end,
+    YieldWorker& worker, const WaferModel& wafer, const YieldConfig& cfg,
+    std::size_t die_begin, std::size_t die_end,
     std::span<const std::vector<double>> slot_maps,
     std::span<const SlotTriage> screen) const {
   if (die_begin > die_end || die_end > wafer.num_dies()) {
@@ -431,15 +484,13 @@ YieldAggregate YieldAnalyzer::analyze_shard(
     local_screen = tier_screen(wafer, cfg, slot_maps);
     screen = local_screen;
   }
+  begin_call(worker, slot_maps.size());
   YieldAggregate agg;
   agg.island_activation.assign(
       static_cast<std::size_t>(plan_->num_islands()) + 1, 0);
   const int budget = per_die_mc_budget(cfg.mc);
   for (std::size_t i = die_begin; i < die_end; ++i) {
-    const WaferDie& die = wafer.dies()[i];
-    const std::size_t slot = reticle_slot(wafer, die);
-    agg.add(analyze_die_with(engine, ctrl, die, cfg, slot_maps[slot],
-                             screen.empty() ? nullptr : &screen[slot]),
+    agg.add(worker_die(worker, wafer, wafer.dies()[i], cfg, slot_maps, screen),
             plan_->num_islands(), budget);
   }
   return agg;
@@ -519,27 +570,17 @@ YieldReport YieldAnalyzer::analyze(const WaferModel& wafer,
   // every worker: side² canonical passes (§16) or side² macromodel
   // interpolations (§19) up front buy MC skips on every decided die.
   const std::vector<SlotTriage> screen = tier_screen(wafer, cfg, slot_maps);
-  const auto slot_of = [&wafer](const WaferDie& d) {
-    return reticle_slot(wafer, d);
-  };
 
-  // Worker state: an engine clone plus a persistent controller whose
-  // per-level base snapshots amortize NLDM delay calculation across all
-  // the dies a worker processes: each level (and the chip-wide fallback)
-  // pays one compute_base the first time the worker touches it.
-  struct Worker {
-    explicit Worker(const YieldAnalyzer& a)
-        : engine(*a.sta_),
-          ctrl(*a.design_, engine, *a.model_, *a.plan_, *a.sensors_) {}
-    StaEngine engine;
-    CompensationController ctrl;
+  // One YieldWorker per pool worker (DESIGN.md §20), living for this
+  // call: its controller's level snapshots, MC buffers and power memo
+  // serve every die the worker draws.
+  const auto make_worker = [&] {
+    auto w = std::make_shared<YieldWorker>(*this);
+    begin_call(*w, slot_maps.size());
+    return w;
   };
-  const auto make_worker = [this] { return std::make_shared<Worker>(*this); };
-  const auto body = [&](std::shared_ptr<Worker>& w, std::size_t i) {
-    const std::size_t slot = slot_of(dies[i]);
-    report.dies[i] =
-        analyze_die_with(w->engine, w->ctrl, dies[i], cfg, slot_maps[slot],
-                         screen.empty() ? nullptr : &screen[slot]);
+  const auto body = [&](std::shared_ptr<YieldWorker>& w, std::size_t i) {
+    report.dies[i] = worker_die(*w, wafer, dies[i], cfg, slot_maps, screen);
   };
   if (pool != nullptr) {
     parallel_for(*pool, dies.size(), make_worker, body);

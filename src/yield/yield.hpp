@@ -24,13 +24,15 @@
 //      location.
 //
 // The per-die work is embarrassingly parallel; analyze() runs it on a
-// ThreadPool with per-worker StaEngine clones and produces BIT-IDENTICAL
-// reports for any thread count (asserted in tests/test_yield.cpp) —
-// aggregation happens serially in die-id order after the parallel loop.
+// ThreadPool with one YieldWorker per pool worker and produces
+// BIT-IDENTICAL reports for any thread count (asserted in
+// tests/test_yield.cpp) — aggregation happens serially in die-id order
+// after the parallel loop.
 
 #include <array>
 #include <cstdint>
 #include <span>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -320,6 +322,46 @@ struct YieldReport {
   std::string policy_glyphs() const;
 };
 
+class YieldAnalyzer;
+
+/// One worker's per-die scratch (DESIGN.md §20): an engine copy, a
+/// persistent CompensationController over it (whose §12 level cache
+/// amortizes delay calculation across every die the worker sees), the
+/// MC lane buffers its serial runs lease, and the power memo.  analyze()
+/// builds one per pool worker; the campaign runner builds one per
+/// (pool worker, netlist) and hands it to analyze_shard().  A worker
+/// serves any analyzer over the netlist it was built from — the same
+/// design, engine, island plan and sensors — whatever its variation
+/// model, since base delays never depend on the model.  Not copyable or
+/// movable (the controller points at the engine).
+class YieldWorker {
+ public:
+  explicit YieldWorker(const YieldAnalyzer& analyzer);
+  YieldWorker(const YieldWorker&) = delete;
+  YieldWorker& operator=(const YieldWorker&) = delete;
+
+ private:
+  friend class YieldAnalyzer;
+  /// Die power under one (reticle slot, supply level) pair.
+  struct PowerMemo {
+    bool valid = false;
+    double total_mw = 0.0;
+    double leakage_mw = 0.0;
+  };
+  using NetlistKey = std::tuple<const Design*, const StaEngine*,
+                                const IslandPlan*, const RazorPlan*>;
+
+  NetlistKey netlist_;
+  StaEngine engine_;
+  CompensationController ctrl_;
+  McScratch mc_;
+  /// power_[slot * levels_ + level]; levels 0..num_islands are the
+  /// nested levels (Discard shares level 0), num_islands + 1 chip-wide.
+  /// Emptied by every analyze() / analyze_shard() call: the memo's scope.
+  std::vector<PowerMemo> power_;
+  std::size_t levels_;
+};
+
 class YieldAnalyzer {
  public:
   /// All references must outlive the analyzer.  `sta` must hold the
@@ -351,7 +393,7 @@ class YieldAnalyzer {
   /// loop's body; exposed for tests and custom drivers).  Leaves the
   /// engine's base delays at the die's final corner assignment.
   /// Constructs a fresh controller and systematic map per call; the
-  /// wafer loop goes through analyze_die_with instead to reuse both.
+  /// wafer loop runs the same body on a YieldWorker to reuse both.
   DieOutcome analyze_die(StaEngine& engine, const WaferDie& die,
                          const YieldConfig& cfg) const;
 
@@ -366,6 +408,8 @@ class YieldAnalyzer {
   /// screen, every die runs MC); a decided entry replaces the MC pass
   /// with the analytic verdict while consuming the same RNG positions,
   /// so fabrication/compensation/power are bit-identical either way.
+  /// Computes power directly; a YieldWorker's memo (DESIGN.md §20)
+  /// returns the identical bits.
   DieOutcome analyze_die_with(StaEngine& engine, CompensationController& ctrl,
                               const WaferDie& die, const YieldConfig& cfg,
                               std::span<const double> systematic,
@@ -419,9 +463,10 @@ class YieldAnalyzer {
       const WaferModel& wafer) const;
 
   /// Shard-ranged analysis: run dies [die_begin, die_end) of the wafer
-  /// on caller-owned worker state and reduce them straight into a
-  /// mergeable YieldAggregate — no per-die outcome is retained, which is
-  /// what keeps a streaming campaign O(1) in dies.  `slot_maps` is
+  /// on a caller-owned worker (built over this analyzer's netlist;
+  /// throws std::invalid_argument otherwise) and reduce them straight
+  /// into a mergeable YieldAggregate — no per-die outcome is retained,
+  /// which is what keeps a streaming campaign O(1) in dies.  `slot_maps` is
   /// reticle_slot_maps(wafer) (shared read-only; an empty span makes the
   /// shard compute maps itself).  Per-die bits are identical to
   /// analyze_die(), so aggregating any partition of [0, num_dies) and
@@ -430,12 +475,34 @@ class YieldAnalyzer {
   /// span with triage enabled makes the shard compute it itself, so a
   /// shard's bits never depend on whether the caller shared the screen).
   YieldAggregate analyze_shard(
-      StaEngine& engine, CompensationController& ctrl,
-      const WaferModel& wafer, const YieldConfig& cfg, std::size_t die_begin,
-      std::size_t die_end, std::span<const std::vector<double>> slot_maps = {},
+      YieldWorker& worker, const WaferModel& wafer, const YieldConfig& cfg,
+      std::size_t die_begin, std::size_t die_end,
+      std::span<const std::vector<double>> slot_maps = {},
       std::span<const SlotTriage> screen = {}) const;
 
  private:
+  friend class YieldWorker;
+  YieldWorker::NetlistKey netlist_key() const {
+    return {design_, sta_, plan_, sensors_};
+  }
+  /// Point `worker` at this analyzer's model and empty its power memo,
+  /// sized for `slots` reticle slots; throws std::invalid_argument when
+  /// the worker was built over another netlist.
+  void begin_call(YieldWorker& worker, std::size_t slots) const;
+  /// The one per-die body behind analyze_die_with and the worker loops.
+  /// `worker` (nullable) lends its MC buffers and its power memo, keyed
+  /// by `slot`; without it every die computes its power directly.
+  DieOutcome die_outcome(StaEngine& engine, CompensationController& ctrl,
+                         YieldWorker* worker, std::size_t slot,
+                         const WaferDie& die, const YieldConfig& cfg,
+                         std::span<const double> systematic,
+                         const SlotTriage* triage) const;
+  /// die_outcome on `worker` for a die of `wafer`: its reticle slot's
+  /// shared map and screen entry (`screen` empty = no screen).
+  DieOutcome worker_die(YieldWorker& worker, const WaferModel& wafer,
+                        const WaferDie& die, const YieldConfig& cfg,
+                        std::span<const std::vector<double>> slot_maps,
+                        std::span<const SlotTriage> screen) const;
   void aggregate(YieldReport& report) const;
   /// One slot's analytic verdict: canonical pass over `systematic`, then
   /// the per-gating-stage margin-vs-band decision (DESIGN.md §16).
@@ -454,7 +521,8 @@ class YieldAnalyzer {
   const RazorPlan* sensors_;
   const ActivityDb* activity_;
   /// Shared across all workers: PowerEngine::compute is pure, and the
-  /// per-net capacitance it precomputes never varies per die.
+  /// per-net capacitance it precomputes never varies per die.  Workers
+  /// memoize its results per (reticle slot, level).
   PowerEngine power_;
   double clock_freq_ghz_;
   PortfolioStats portfolio_{};

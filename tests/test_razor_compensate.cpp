@@ -4,10 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <set>
+
 #include "netlist/vex.hpp"
 #include "placement/placer.hpp"
 #include "timing/recovery.hpp"
 #include "vi/compensate.hpp"
+#include "vi/flow.hpp"
 #include "vi/islands.hpp"
 #include "vi/razor.hpp"
 #include "vi/scenario.hpp"
@@ -304,6 +309,158 @@ TEST_F(CompensateFixture, ChipSizeMismatchRejected) {
   VirtualChip bad;
   bad.lgate_nm.assign(3, 65.0);
   EXPECT_THROW(ctrl.compensate(bad), std::invalid_argument);
+}
+
+TEST_F(CompensateFixture, SlotMapFabricationMatchesLocationOverload) {
+  // The wafer path fabricates against its reticle slot's systematic map;
+  // the location overload evaluates the exposure polynomial per gate.
+  // Same RNG stream, same gate lengths, bit for bit — with and without a
+  // correlated within-die field (which draws its own grid first).  Both
+  // also match a per-gate walk of the public location-keyed draw.
+  VariationConfig corr;
+  corr.correlated_fraction = 0.5;
+  const VariationModel corr_model(lib_->char_params(), *field_, corr);
+  const VariationModel* const models[] = {model_, &corr_model};
+  for (const VariationModel* m : models) {
+    for (const DieLocation& loc :
+         {worst_loc_, DieLocation::point('A'), DieLocation::point('D')}) {
+      const std::vector<double> systematic =
+          m->systematic_lgates(*design_, loc);
+      for (const std::uint64_t seed : {1ULL, 0xfab5ULL, 0x5107ULL}) {
+        Rng by_loc(seed), by_map(seed), by_gate(seed);
+        const VirtualChip a = fabricate_chip(*design_, *m, loc, by_loc);
+        const VirtualChip b =
+            fabricate_chip(*design_, *m, loc, systematic, by_map);
+        const CorrelatedField field = m->draw_field(by_gate);
+        ASSERT_EQ(a.lgate_nm.size(), design_->num_instances());
+        ASSERT_EQ(b.lgate_nm.size(), design_->num_instances());
+        for (InstId i = 0; i < design_->num_instances(); ++i) {
+          const double want = m->sample_lgate(
+              design_->instance(i).pos, loc, by_gate,
+              field.active() ? &field : nullptr);
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(a.lgate_nm[i]),
+                    std::bit_cast<std::uint64_t>(b.lgate_nm[i]))
+              << "correlated " << m->config().correlated_fraction
+              << " seed " << seed << " inst " << i;
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(b.lgate_nm[i]),
+                    std::bit_cast<std::uint64_t>(want))
+              << "correlated " << m->config().correlated_fraction
+              << " seed " << seed << " inst " << i;
+        }
+        EXPECT_EQ(a.loc.chip_origin_mm.x, b.loc.chip_origin_mm.x);
+        EXPECT_EQ(a.loc.chip_origin_mm.y, b.loc.chip_origin_mm.y);
+        const std::uint64_t next = by_gate.next();
+        EXPECT_EQ(by_loc.next(), next) << "RNG stream diverged";
+        EXPECT_EQ(by_map.next(), next) << "RNG stream diverged";
+      }
+    }
+  }
+  Rng rng(3);
+  const std::vector<double> short_map(design_->num_instances() - 1, 65.0);
+  EXPECT_THROW(fabricate_chip(*design_, *model_, worst_loc_, short_map, rng),
+               std::invalid_argument);
+}
+
+// compensate() derives every level's delay factors from the die's
+// level-0 factors, re-evaluating only the instances the level flips to
+// another corner, and runs the escalation tail as multi-base lanes
+// without restoring each level.  Reference: a walk through the public
+// per-level calls only — set_level, chip_factors, analyze — on a
+// second controller.  The flow's clock is tight enough that every
+// sensor-covered detection level and escalation up to the last island
+// occur.
+TEST(CompensateReferenceWalk, TightClockMatchesPublicLevelWalk) {
+  FlowConfig fc;
+  fc.vex = VexConfig::tiny();
+  fc.floorplan.target_utilization = 0.55;
+  fc.scenario.sweep_points = 6;
+  fc.scenario.mc.samples = 100;
+  fc.islands.mc_samples = 80;
+  fc.sim_cycles = 150;
+  fc.clock_margin = -0.05;
+  Flow flow(fc);
+  flow.plan_sensors();
+  const IslandPlan& plan = flow.island_plan();
+  const int max_k = plan.num_islands();
+  ASSERT_GE(max_k, 2);
+  int covered_stages = 0;
+  for (PipeStage s :
+       {PipeStage::Decode, PipeStage::Execute, PipeStage::WriteBack}) {
+    if (flow.razor_plan().per_stage[static_cast<std::size_t>(s)] > 0) {
+      ++covered_stages;
+    }
+  }
+  ASSERT_GE(covered_stages, 2);
+
+  const double period = flow.sta().options().clock_period_ns * 0.97;
+  StaEngine eng(flow.sta()), ref_eng(flow.sta());
+  eng.set_clock_period(period);
+  ref_eng.set_clock_period(period);
+  CompensationController ctrl(flow.design(), eng, flow.variation(), plan,
+                              flow.razor_plan());
+  CompensationController ref(flow.design(), ref_eng, flow.variation(), plan,
+                             flow.razor_plan());
+
+  std::set<int> detected_seen, raised_seen;
+  int escalated = 0;
+  Rng rng(0xc0a5);
+  for (int c = 0; c < 48; ++c) {
+    const DieLocation loc = DieLocation::point("ABCD"[c % 4]);
+    const VirtualChip chip =
+        fabricate_chip(flow.design(), flow.variation(), loc, rng);
+    const bool allow_escalation = c % 6 != 5;
+    const CompensationOutcome out = ctrl.compensate(chip, allow_escalation);
+
+    ref.set_level(0);
+    const StaResult truth0 = ref_eng.analyze(ref.chip_factors(chip));
+    const auto flags = sensor_flags(ref_eng, flow.razor_plan(), truth0);
+    int detected = 0;
+    for (PipeStage s :
+         {PipeStage::Decode, PipeStage::Execute, PipeStage::WriteBack}) {
+      detected += flags[static_cast<std::size_t>(s)] ? 1 : 0;
+    }
+    bool missed = false;
+    for (std::size_t k = 0; k < ref_eng.endpoints().size(); ++k) {
+      const double slack = truth0.endpoint_slack[k];
+      missed = missed ||
+               (std::isfinite(slack) && slack < 0.0 &&
+                !flags[static_cast<std::size_t>(ref_eng.endpoints()[k].stage)]);
+    }
+    int k = detected;
+    StaResult truth = truth0;
+    for (;; ++k) {
+      ref.set_level(k);
+      truth = ref_eng.analyze(ref.chip_factors(chip));
+      if (truth.wns >= 0.0 || !allow_escalation || k >= max_k) break;
+    }
+
+    EXPECT_EQ(out.sensor_stage_flags, flags) << "chip " << c;
+    EXPECT_EQ(out.detected_severity, detected) << "chip " << c;
+    EXPECT_EQ(out.missed_violation, missed) << "chip " << c;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(out.wns_before),
+              std::bit_cast<std::uint64_t>(truth0.wns))
+        << "chip " << c;
+    EXPECT_EQ(out.islands_raised, k) << "chip " << c;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(out.wns_after),
+              std::bit_cast<std::uint64_t>(truth.wns))
+        << "chip " << c;
+    EXPECT_EQ(out.timing_met, truth.wns >= 0.0) << "chip " << c;
+    EXPECT_EQ(out.escalated, k > detected) << "chip " << c;
+    // Postcondition: the engine holds the final level's bases.
+    const auto got = eng.snapshot_bases();
+    const auto want = ref_eng.snapshot_bases();
+    EXPECT_EQ(got.edge_base, want.edge_base) << "chip " << c;
+    EXPECT_EQ(got.inst_corner, want.inst_corner) << "chip " << c;
+
+    detected_seen.insert(detected);
+    raised_seen.insert(k);
+    escalated += out.escalated ? 1 : 0;
+  }
+  for (int d = 1; d <= covered_stages; ++d) {
+    EXPECT_TRUE(detected_seen.count(d)) << "detected level " << d << " unseen";
+  }
+  EXPECT_GT(escalated, 0);
+  EXPECT_TRUE(raised_seen.count(max_k)) << "never escalated to the last island";
 }
 
 TEST(RazorUnit, ThresholdFiltersSensors) {

@@ -298,13 +298,10 @@ TEST_F(SstaFixture, ShardsWithoutSharedScreenReproduceTheWaferRun) {
   cfg.triage.enabled = true;
   const YieldReport full = analyzer.analyze(wafer, cfg);
 
-  StaEngine engine(flow_->sta());
-  CompensationController ctrl(flow_->design(), engine, flow_->variation(),
-                              flow_->island_plan(), flow_->razor_plan());
+  YieldWorker worker(analyzer);
   const std::size_t mid = wafer.num_dies() / 2;
-  YieldAggregate agg = analyzer.analyze_shard(engine, ctrl, wafer, cfg, 0, mid);
-  agg.merge(
-      analyzer.analyze_shard(engine, ctrl, wafer, cfg, mid, wafer.num_dies()));
+  YieldAggregate agg = analyzer.analyze_shard(worker, wafer, cfg, 0, mid);
+  agg.merge(analyzer.analyze_shard(worker, wafer, cfg, mid, wafer.num_dies()));
 
   EXPECT_EQ(agg.dies, full.dies.size());
   EXPECT_EQ(agg.triage_analytical, full.triage_analytical);

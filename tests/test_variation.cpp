@@ -7,6 +7,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "netlist/vex.hpp"
 #include "placement/placer.hpp"
@@ -624,6 +625,54 @@ TEST_F(McFixture, AdaptiveWideSigmaStageDrawsMoreSamples) {
   EXPECT_EQ(r_base.stopping_reason, McStop::Converged);
   EXPECT_LT(r_base.samples, cfg.adaptive.max_samples);
   EXPECT_GT(r_wide.samples, r_base.samples);
+}
+
+/// A serial run's caller-owned McScratch carries no state between runs:
+/// one scratch reused across slot maps, budgets, batch widths (wide
+/// before narrow, so stale lanes would show), all three draw profiles
+/// and adaptive stopping yields the bits of fresh runs.
+TEST_F(McFixture, ReusedMcScratchMatchesFreshRuns) {
+  MonteCarloSsta mc(design_, *sta_, *model_);
+  McScratch scratch;
+  const DieLocation locs[] = {DieLocation::point('A'),
+                              DieLocation::point('C'),
+                              DieLocation::point('D')};
+  int run = 0;
+  for (const DrawProfile profile :
+       {DrawProfile::Scalar, DrawProfile::Batched, DrawProfile::BatchedSimd}) {
+    for (const auto& [samples, batch] :
+         {std::pair{40, 16}, std::pair{17, 1}, std::pair{29, 8},
+          std::pair{64, 5}}) {
+      McConfig cfg;
+      cfg.profile = profile;
+      cfg.samples = samples;
+      cfg.batch = batch;
+      cfg.seed = 0x5c7a + static_cast<std::uint64_t>(run);
+      const auto systematic =
+          model_->systematic_lgates(design_, locs[run % 3]);
+      ++run;
+      expect_identical(mc.run_with_systematic(systematic, cfg, nullptr,
+                                              &scratch),
+                       mc.run_with_systematic(systematic, cfg));
+    }
+    McConfig adaptive;
+    adaptive.profile = profile;
+    adaptive.adaptive.enabled = true;
+    adaptive.adaptive.min_samples = 16;
+    adaptive.adaptive.max_samples = 96;
+    adaptive.adaptive.check_every_batches = 1;
+    adaptive.adaptive.mean_half_width_ns = 1e9;
+    adaptive.adaptive.sigma_half_width_ns = 1e9;
+    const auto systematic =
+        model_->systematic_lgates(design_, locs[run % 3]);
+    const McResult leased =
+        mc.run_with_systematic(systematic, adaptive, nullptr, &scratch);
+    const McResult fresh = mc.run_with_systematic(systematic, adaptive);
+    EXPECT_EQ(leased.stopping_reason, McStop::Converged);
+    EXPECT_EQ(leased.stopping_reason, fresh.stopping_reason);
+    EXPECT_EQ(leased.convergence.size(), fresh.convergence.size());
+    expect_identical(leased, fresh);
+  }
 }
 
 /// run_with_systematic against the map run() derives internally must be

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numbers>
 #include <set>
@@ -465,6 +466,172 @@ TEST_F(YieldFixture, BatchedProfileReportBitIdenticalAcrossThreadCounts) {
   // Distinct stream from the Scalar profile by design (compared
   // statistically in bench/mc_ssta, not bit-wise here).
   EXPECT_NE(reference, serialize(*wafer_, *report_));
+}
+
+// ---- per-worker die scratch (DESIGN.md §20) --------------------------------
+
+/// A wafer near the yield cliff: tight clock, 3x random sigma, no
+/// escalation.  Every TuningPolicy occurs and part of the wafer falls
+/// back to MC, so the power memo sees every level (Discard included) and
+/// the MC lease runs.
+class CliffWaferFixture : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    FlowConfig fc = tiny_flow_config();
+    fc.clock_margin = -0.02;
+    flow_ = new Flow(fc);
+    flow_->simulate_activity();
+    VariationConfig vc = flow_->variation().config();
+    vc.three_sigma_random_frac *= 3.0;
+    model_ = new VariationModel(flow_->variation().char_params(),
+                                flow_->variation().field(), vc);
+    wafer_ = new WaferModel(test_wafer_config());
+  }
+  static void TearDownTestSuite() {
+    delete wafer_;
+    delete model_;
+    delete flow_;
+    wafer_ = nullptr;
+    model_ = nullptr;
+    flow_ = nullptr;
+  }
+  static YieldConfig cliff_config() {
+    YieldConfig yc = test_yield_config();
+    yc.tier = EvalTier::Triage;
+    yc.allow_escalation = false;
+    return yc;
+  }
+  static double clock_ghz() { return 1.0 / flow_->post_shifter_clock_ns(); }
+  static YieldAnalyzer analyzer(const VariationModel& model) {
+    return YieldAnalyzer(flow_->design(), flow_->sta(), model,
+                         flow_->island_plan(), flow_->razor_plan(),
+                         flow_->activity(), clock_ghz());
+  }
+  /// A die's power computed directly, one PowerEngine::compute per die,
+  /// under the supply assignment its policy selects.
+  static PowerBreakdown direct_power(const VariationModel& model,
+                                     const DieOutcome& d) {
+    const IslandPlan& plan = flow_->island_plan();
+    std::vector<int> corners;
+    if (d.policy == TuningPolicy::ChipWideHigh) {
+      corners.assign(static_cast<std::size_t>(plan.num_islands()) + 1,
+                     kVddHigh);
+    } else if (d.policy != TuningPolicy::Discard) {
+      corners = plan.corners_for_severity(d.islands_raised);
+    }
+    const WaferDie& die = wafer_->dies()[static_cast<std::size_t>(d.die_id)];
+    const std::vector<double> systematic =
+        model.systematic_lgates(flow_->design(), die.location);
+    PowerConfig pc;
+    pc.clock_freq_ghz = clock_ghz();
+    pc.variation = &model;
+    pc.location = &die.location;
+    pc.systematic = systematic;
+    return PowerEngine(flow_->design(), flow_->activity()).compute(corners, pc);
+  }
+  static Flow* flow_;
+  static VariationModel* model_;
+  static WaferModel* wafer_;
+};
+
+Flow* CliffWaferFixture::flow_ = nullptr;
+VariationModel* CliffWaferFixture::model_ = nullptr;
+WaferModel* CliffWaferFixture::wafer_ = nullptr;
+
+/// The power memo replays one compute per (reticle slot, level): every
+/// die's reported power must equal a direct per-die compute bit for bit,
+/// serially, on a 2-thread pool, and through analyze_shard over an
+/// uneven partition on one reused worker.
+TEST_F(CliffWaferFixture, MemoizedPowerMatchesDirectCompute) {
+  const YieldAnalyzer an = analyzer(*model_);
+  const YieldConfig yc = cliff_config();
+  const YieldReport serial = an.analyze(*wafer_, yc, nullptr);
+  for (const TuningPolicy p :
+       {TuningPolicy::AllLow, TuningPolicy::NestedIslands,
+        TuningPolicy::ChipWideHigh, TuningPolicy::Discard}) {
+    EXPECT_GT(serial.count(p), 0u) << tuning_policy_name(p);
+  }
+  EXPECT_GT(serial.triage_mc_fallback, 0u);
+
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  std::vector<DieOutcome> direct = serial.dies;
+  for (DieOutcome& d : direct) {
+    const PowerBreakdown p = direct_power(*model_, d);
+    d.total_mw = p.total_mw();
+    d.leakage_mw = p.leakage_mw;
+  }
+  ThreadPool two(2);
+  const YieldReport pooled = an.analyze(*wafer_, yc, &two);
+  for (std::size_t i = 0; i < direct.size(); ++i) {
+    EXPECT_EQ(bits(serial.dies[i].total_mw), bits(direct[i].total_mw))
+        << "die " << i;
+    EXPECT_EQ(bits(serial.dies[i].leakage_mw), bits(direct[i].leakage_mw))
+        << "die " << i;
+    EXPECT_EQ(bits(pooled.dies[i].total_mw), bits(direct[i].total_mw))
+        << "die " << i;
+    EXPECT_EQ(bits(pooled.dies[i].leakage_mw), bits(direct[i].leakage_mw))
+        << "die " << i;
+  }
+
+  const int budget = per_die_mc_budget(yc.mc);
+  const int islands = flow_->island_plan().num_islands();
+  YieldWorker worker(an);
+  YieldAggregate sharded, want;
+  const std::size_t n = wafer_->num_dies();
+  const std::vector<std::size_t> cuts = {0, 5, 6, 47, n - 1, n};
+  for (std::size_t c = 0; c + 1 < cuts.size(); ++c) {
+    sharded.merge(an.analyze_shard(worker, *wafer_, yc, cuts[c], cuts[c + 1]));
+  }
+  for (const DieOutcome& d : direct) want.add(d, islands, budget);
+  EXPECT_EQ(sharded.dies, want.dies);
+  EXPECT_EQ(sharded.policy_count, want.policy_count);
+  for (std::size_t p = 0; p < want.power_mw.size(); ++p) {
+    EXPECT_TRUE(sharded.power_mw[p] == want.power_mw[p]) << "policy " << p;
+    EXPECT_TRUE(sharded.leakage_mw[p] == want.leakage_mw[p]) << "policy " << p;
+  }
+}
+
+/// One worker serves every analyzer over its netlist — the campaign
+/// shares it across sigma scales — and refuses any other netlist.
+TEST_F(CliffWaferFixture, WorkerSharedAcrossModelsOfOneNetlist) {
+  const YieldAnalyzer wide = analyzer(*model_);
+  const YieldAnalyzer nominal = analyzer(flow_->variation());
+  const YieldConfig yc = cliff_config();
+  const int budget = per_die_mc_budget(yc.mc);
+  const int islands = flow_->island_plan().num_islands();
+  const auto aggregate_of = [&](const YieldReport& r) {
+    YieldAggregate agg;
+    for (const DieOutcome& d : r.dies) agg.add(d, islands, budget);
+    return agg;
+  };
+  const YieldAggregate want_wide = aggregate_of(wide.analyze(*wafer_, yc));
+  const YieldAggregate want_nominal =
+      aggregate_of(nominal.analyze(*wafer_, yc));
+
+  YieldWorker shared(nominal);
+  const std::size_t n = wafer_->num_dies();
+  YieldAggregate got_wide, got_nominal;
+  for (std::size_t b = 0; b < n; b += 29) {
+    const std::size_t e = std::min(n, b + 29);
+    got_wide.merge(wide.analyze_shard(shared, *wafer_, yc, b, e));
+    got_nominal.merge(nominal.analyze_shard(shared, *wafer_, yc, b, e));
+  }
+  EXPECT_EQ(got_wide.policy_count, want_wide.policy_count);
+  EXPECT_EQ(got_nominal.policy_count, want_nominal.policy_count);
+  for (std::size_t p = 0; p < kNumTuningPolicies; ++p) {
+    EXPECT_TRUE(got_wide.power_mw[p] == want_wide.power_mw[p]);
+    EXPECT_TRUE(got_nominal.power_mw[p] == want_nominal.power_mw[p]);
+  }
+  EXPECT_TRUE(got_wide.wns_final_ns == want_wide.wns_final_ns);
+  EXPECT_TRUE(got_nominal.wns_final_ns == want_nominal.wns_final_ns);
+  EXPECT_TRUE(got_wide.fmax_ghz == want_wide.fmax_ghz);
+
+  const StaEngine other_engine(flow_->sta());
+  const YieldAnalyzer other(flow_->design(), other_engine, *model_,
+                            flow_->island_plan(), flow_->razor_plan(),
+                            flow_->activity(), clock_ghz());
+  EXPECT_THROW(other.analyze_shard(shared, *wafer_, yc, 0, 1),
+               std::invalid_argument);
 }
 
 TEST(YieldGuards, FromFlowRequiresSensorsAndActivity) {
