@@ -208,7 +208,7 @@ int main(int argc, char** argv) {
   // now carries (schema v2).
   {
     CampaignSpec ts = spec;
-    ts.base.triage.enabled = true;
+    ts.base.tier = EvalTier::Triage;
     const auto t2 = clock::now();
     const CampaignReport triage_serial = runner.run(ts);
     const std::chrono::duration<double> triage_dt = clock::now() - t2;

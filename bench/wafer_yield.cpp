@@ -12,10 +12,7 @@
 // analytical triage tier on (DESIGN.md §16) and hard-gates on its
 // contract: non-MC outputs bit-identical to the triage-off run, and the
 // analytic severity verdict agreeing with full MC within the confidence
-// band's stated error rate — exit 1 beyond either bound.  A fourth
-// sweep runs the stage-macromodel tier (DESIGN.md §19) under the same
-// gates, plus bit-identity of restricted recharacterization up the
-// escalation ladder against characterizing from scratch.
+// band's stated error rate — exit 1 beyond either bound.
 //
 // Emits BENCH_wafer.json with dies/sec and speedups for trajectory
 // tracking across PRs.
@@ -34,8 +31,6 @@
 #include <vector>
 
 #include "io/yield_writers.hpp"
-#include "ssta/canonical.hpp"
-#include "ssta/macromodel.hpp"
 #include "timing/sta.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -223,7 +218,7 @@ int main(int argc, char** argv) {
   //      on at most ceil(3 * (1 - confidence) * decided) dies, the
   //      band's stated error rate with 3x headroom.
   YieldConfig tc = with_profile(DrawProfile::Batched);
-  tc.triage.enabled = true;
+  tc.tier = EvalTier::Triage;
   auto [triage_serial, triage_s] = run(tc, nullptr);
   const std::string triage_reference = fingerprint(triage_serial);
   Table tt({"threads", "wall [s]", "dies/sec", "vs batched", "identical"});
@@ -315,147 +310,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Same wafer once more with the stage-macromodel tier (DESIGN.md §19):
-  // each pipeline stage is characterized ONCE into boundary-moment forms
-  // over a (basis-variant x knot) grid, and the per-die screen becomes a
-  // macromodel EVALUATION (3-scalar basis fit + interpolation) instead
-  // of a full canonical gate-graph pass.  The triage section's hard
-  // gates all apply — byte-determinism across thread counts, non-MC
-  // exactness vs the macro-off Batched run, statistical severity
-  // agreement within the band's stated error rate — plus a macromodel-
-  // specific one further down: restricted recharacterization up the
-  // escalation ladder must be bit-identical to characterizing from
-  // scratch.
-  YieldConfig mcc = with_profile(DrawProfile::Batched);
-  mcc.tier = EvalTier::Macro;
-  double characterize_s;
-  {
-    const auto t0 = clock::now();
-    (void)analyzer.macro_library(mcc.macro);
-    const std::chrono::duration<double> dt = clock::now() - t0;
-    characterize_s = dt.count();
-    out.set("macro_characterize_s", characterize_s);
-    std::printf("macromodel characterization (5 variants x %d knots): "
-                "%.3f s (amortized across wafers, cached per analyzer)\n",
-                mcc.macro.knots, characterize_s);
-  }
-  auto [macro_serial, macro_s] = run(mcc, nullptr);
-  const std::string macro_reference = fingerprint(macro_serial);
-  Table mt({"threads", "wall [s]", "dies/sec", "vs batched", "identical"});
-  mt.add_row({"serial", Table::num(macro_s, 2), Table::num(dies / macro_s, 1),
-              Table::num(batched_s / macro_s, 2), "ref"});
-  out.set("macro_dies_per_sec", dies / macro_s);
-  out.set("macro_speedup_vs_batched", batched_s / macro_s);
-  out.set("macro_speedup_vs_triage", triage_s / macro_s);
-  for (unsigned threads : {2u, 4u}) {
-    const bool oversub = threads > hw;
-    ThreadPool pool(threads);
-    auto [report, secs] = run(mcc, &pool);
-    const bool same = fingerprint(report) == macro_reference;
-    char label[32];
-    std::snprintf(label, sizeof label, "%u%s", threads,
-                  oversub ? " (oversub)" : "");
-    mt.add_row({label, Table::num(secs, 2), Table::num(dies / secs, 1),
-                oversub ? "-" : Table::num(batched_s / secs, 2),
-                same ? "yes" : "NO (BUG)"});
-    if (!oversub) {
-      char key[64];
-      std::snprintf(key, sizeof key, "macro_dies_per_sec_t%u", threads);
-      out.set(key, dies / secs);
-    }
-    if (!same) {
-      std::printf("DETERMINISM VIOLATION within the macro tier at "
-                  "%u threads\n", threads);
-      return 1;
-    }
-  }
-  std::printf("%s\n", mt.render().c_str());
-
-  if (non_mc_fingerprint(macro_serial) != non_mc_fingerprint(batched_serial)) {
-    std::printf("MACRO VIOLATION: non-MC die outputs differ from the "
-                "macro-off run\n");
-    return 1;
-  }
-
-  std::size_t mac_decided = 0, mac_mismatches = 0, mac_saved = 0;
-  for (std::size_t w = 0; w < macro_serial.size(); ++w) {
-    const YieldReport& mr = macro_serial[w];
-    const YieldReport& br = batched_serial[w];
-    for (std::size_t i = 0; i < mr.dies.size(); ++i) {
-      if (mr.dies[i].triage_tier != TriageTier::Macro) continue;
-      ++mac_decided;
-      mac_saved += static_cast<std::size_t>(br.dies[i].mc_samples);
-      if (mr.dies[i].mc_severity != br.dies[i].mc_severity) ++mac_mismatches;
-    }
-  }
-  const double macro_frac = static_cast<double>(mac_decided) / dies;
-  const auto mac_allowed = static_cast<std::size_t>(std::ceil(
-      3.0 * (1.0 - mcc.triage.confidence) * static_cast<double>(mac_decided)));
-  std::printf("macro: %zu/%.0f dies decided by the macromodel (%.0f %%), "
-              "%zu MC samples skipped, severity mismatches vs full MC: "
-              "%zu (allowed %zu)\n",
-              mac_decided, dies, 100.0 * macro_frac, mac_saved, mac_mismatches,
-              mac_allowed);
-  out.set("macro_fraction", macro_frac);
-  out.set("macro_decided_dies", static_cast<double>(mac_decided));
-  out.set("macro_mc_samples_saved", static_cast<double>(mac_saved));
-  out.set("macro_severity_mismatches", static_cast<double>(mac_mismatches));
-  out.set("macro_allowed_mismatches", static_cast<double>(mac_allowed));
-  if (mac_decided == 0) {
-    std::printf("MACRO VIOLATION: the macromodel decided no dies at all on "
-                "this wafer\n");
-    return 1;
-  }
-  if (mac_mismatches > mac_allowed) {
-    std::printf("MACRO VIOLATION: macromodel verdict disagreed with full MC "
-                "beyond the band's stated error rate\n");
-    return 1;
-  }
-
-  // Per-die screen cost: macromodel evaluation vs one flat canonical
-  // pass over the reticle slots.  This is the per-die work the macro
-  // tier replaces; the honest bottom line is the BREAK-EVEN wafer count
-  // (characterization cost / per-wafer screen saving), printed so small
-  // cores don't read as a free win.
-  {
-    StaEngine eng(flow.sta());
-    eng.compute_base_all_low();
-    const CanonicalSsta canon(flow.design(), eng, flow.variation());
-    const StageMacroLibrary& lib = analyzer.macro_library(mcc.macro);
-    const std::vector<std::vector<double>> slots =
-        analyzer.reticle_slot_maps(wafer);
-    constexpr int kEvalReps = 200;
-    double canon_us = 0.0, eval_us = 0.0;
-    for (int rep = 0; rep < kEvalReps; ++rep) {
-      for (const std::vector<double>& map : slots) {
-        auto t0 = clock::now();
-        (void)canon.run(map);
-        std::chrono::duration<double, std::micro> dt = clock::now() - t0;
-        canon_us += dt.count();
-        t0 = clock::now();
-        (void)lib.evaluate(map);
-        dt = clock::now() - t0;
-        eval_us += dt.count();
-      }
-    }
-    const double per = static_cast<double>(kEvalReps) *
-                       static_cast<double>(slots.size());
-    canon_us /= per;
-    eval_us /= per;
-    const double saving_per_wafer_s =
-        (canon_us - eval_us) * static_cast<double>(slots.size()) * 1e-6;
-    const double break_even =
-        saving_per_wafer_s > 0.0 ? characterize_s / saving_per_wafer_s : -1.0;
-    std::printf("macro screen: %.1f us/slot eval vs %.1f us/slot canonical "
-                "(%.2fx); break-even at %.0f wafers per characterization\n\n",
-                eval_us, canon_us, canon_us / eval_us,
-                break_even < 0.0 ? 0.0 : break_even);
-    out.set("macro_eval_us_per_slot", eval_us);
-    out.set("macro_canonical_us_per_slot", canon_us);
-    out.set("macro_eval_speedup", canon_us / eval_us);
-    out.set("macro_break_even_wafers", break_even);
-  }
-
   // Escalation-level set-up cost: each worker's CompensationController
   // caches one BaseSnapshot per escalation level, built by one
   // compute_base() the first time the worker touches that level
@@ -482,68 +336,6 @@ int main(int argc, char** argv) {
     std::printf("escalation level set-up cost (%d levels, mean of %d "
                 "reps):\n%s\n",
                 levels + 1, kReps, lt.render().c_str());
-  }
-
-  // Macromodel recharacterization up the same ladder (DESIGN.md §19): a
-  // VI escalation flips exactly one island's domain, so the library
-  // re-runs its characterization passes restricted to the union of the
-  // stage fan-in cones that domain touches.  Hard gate: the restricted
-  // rebuild must be BIT-IDENTICAL to characterizing from scratch at the
-  // new corner.
-  if (const int levels = plan.num_islands(); levels > 0) {
-    constexpr int kMacReps = 10;
-    StaEngine eng(flow.sta());
-    eng.compute_base(plan.corners_for_severity(0));
-    StageMacroLibrary delta_lib(flow.design(), eng, flow.variation());
-    Table rt({"level", "full [ms]", "delta [ms]", "speedup", "cone"});
-    double full_total_ms = 0.0, delta_total_ms = 0.0;
-    bool identical = true;
-    for (int k = 1; k <= levels; ++k) {
-      eng.compute_base(plan.corners_for_severity(k));
-      double full_ms = 0.0, delta_ms = 0.0;
-      std::string full_print;
-      for (int rep = 0; rep < kMacReps; ++rep) {
-        auto t0 = clock::now();
-        const StageMacroLibrary full_lib(flow.design(), eng,
-                                         flow.variation());
-        std::chrono::duration<double, std::milli> dt = clock::now() - t0;
-        full_ms += dt.count();
-        if (rep == 0) full_print = full_lib.fingerprint();
-        t0 = clock::now();
-        delta_lib.recharacterize(eng, static_cast<DomainId>(k));
-        dt = clock::now() - t0;
-        delta_ms += dt.count();
-      }
-      full_ms /= kMacReps;
-      delta_ms /= kMacReps;
-      full_total_ms += full_ms;
-      delta_total_ms += delta_ms;
-      identical = identical && delta_lib.fingerprint() == full_print;
-      const double frac =
-          delta_lib.recharacterize_fraction(static_cast<DomainId>(k));
-      char label[16], cone[16];
-      std::snprintf(label, sizeof label, "%d", k);
-      std::snprintf(cone, sizeof cone, "%.0f %%", 100.0 * frac);
-      rt.add_row({label, Table::num(full_ms, 2), Table::num(delta_ms, 2),
-                  Table::num(full_ms / delta_ms, 2), cone});
-      char key[64];
-      std::snprintf(key, sizeof key, "macro_rechar_level%d_full_ms", k);
-      out.set(key, full_ms);
-      std::snprintf(key, sizeof key, "macro_rechar_level%d_delta_ms", k);
-      out.set(key, delta_ms);
-    }
-    std::printf("macromodel recharacterization (%d escalation levels, mean "
-                "of %d reps, models %s):\n%s\n",
-                levels, kMacReps,
-                identical ? "bit-identical" : "DIVERGED", rt.render().c_str());
-    out.set("macro_recharacterize_full_ms", full_total_ms);
-    out.set("macro_recharacterize_delta_ms", delta_total_ms);
-    out.set("macro_recharacterize_speedup", full_total_ms / delta_total_ms);
-    if (!identical) {
-      std::printf("MACRO VIOLATION: restricted recharacterization diverged "
-                  "from characterizing at the corner from scratch\n");
-      return 1;
-    }
   }
 
   std::printf("yield: %.1f %% parametric (%zu/%zu shipped), "

@@ -108,6 +108,7 @@ std::vector<CampaignCell> CampaignRunner::expand(
   if (spec.shard_dies < 1) {
     throw std::invalid_argument("campaign: shard_dies must be >= 1");
   }
+  (void)spec.base.effective_tier();  // throws on a removed tier
   for (const double s : spec.sigma_scales) {
     if (!(s > 0.0)) {
       throw std::invalid_argument("campaign: sigma scales must be positive");
@@ -209,7 +210,7 @@ struct CampaignRunner::Plan {
   /// mixes, which share maps[v][g].
   std::vector<std::vector<std::vector<std::vector<double>>>> policy_maps;
   /// screens[cell] = the cell's analytic triage screen (DESIGN.md §16),
-  /// empty when triage is off.  Computed once in build_plan — a pure
+  /// empty on the flat tier.  Computed once in build_plan — a pure
   /// function of (variant, policy, sigma, geometry, MC budget), never of
   /// sharding — and shared read-only by every shard of the cell.
   std::vector<std::vector<SlotTriage>> screens;
@@ -342,12 +343,9 @@ void CampaignRunner::build_plan(const CampaignSpec& spec, Plan& plan) const {
     }
   }
 
-  // Per-cell analytic screens (empty unless a non-flat tier is on):
-  // cells differing only in MC budget recompute the same screen, which
-  // is side² canonical (or macromodel) passes — negligible next to one
-  // shard's MC work.  Each analyzer slot caches its own macromodel
-  // library, so macro-tier cells sharing a (variant, policy, sigma)
-  // slot characterize once and reuse it across screens and shards.
+  // Per-cell analytic screens (empty on the flat tier): cells differing
+  // only in MC budget recompute the same screen, which is side²
+  // canonical passes — negligible next to one shard's MC work.
   plan.screens.resize(plan.cells.size());
   if (spec.base.effective_tier() != EvalTier::Flat) {
     for (const CampaignCell& cell : plan.cells) {
@@ -453,13 +451,10 @@ std::uint64_t CampaignRunner::spec_digest(const CampaignSpec& spec) const {
   f.u64(b.speed_bins);
   f.flag(b.allow_escalation);
   f.flag(b.allow_chip_wide_fallback);
-  f.flag(b.triage.enabled);
   f.f64(b.triage.confidence);
   f.f64(b.triage.band_scale);
   f.f64(b.triage.model_error_ns);
   f.i64(static_cast<std::int64_t>(b.tier));
-  f.i64(b.macro.knots);
-  f.f64(b.macro.grad_step);
   return f.h;
 }
 
@@ -480,10 +475,13 @@ CampaignReport CampaignRunner::run(const CampaignSpec& spec,
   if (!opts.stream_path.empty() && opts.resume) {
     LoadedCampaignStream loaded = load_campaign_stream(opts.stream_path);
     if (loaded.header_seen) {
-      if (loaded.spec_digest != digest || loaded.jobs_total != total) {
+      // The digest embeds the stream version too, so a stream of another
+      // version fails here even if its header version was edited.
+      if (loaded.version != kCampaignStreamVersion ||
+          loaded.spec_digest != digest || loaded.jobs_total != total) {
         throw std::runtime_error(
             "campaign resume: checkpoint was written by a different campaign "
-            "spec (digest mismatch)");
+            "spec or stream version (digest mismatch)");
       }
       if (loaded.records.size() > total) {
         throw std::runtime_error("campaign resume: more records than jobs");

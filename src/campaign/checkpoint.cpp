@@ -122,8 +122,7 @@ std::string serialize_shard_record(const ShardRecord& r) {
       .u64("budget", r.agg.mc_samples_budget)
       .u64("conv", r.agg.mc_converged_dies)
       .u64("tga", r.agg.triage_analytical)
-      .u64("tgm", r.agg.triage_mc_fallback)
-      .u64("mac", r.agg.triage_macro);
+      .u64("tgm", r.agg.triage_mc_fallback);
   const auto moments = moment_fields(r.agg);
   for (std::size_t i = 0; i < kMomentPrefixes.size(); ++i) {
     put_moments(b, kMomentPrefixes[i], *moments[i]);
@@ -165,7 +164,6 @@ bool parse_shard_record(std::string_view line, ShardRecord& out) {
   if (!ndjson_find_u64(line, "conv", r.agg.mc_converged_dies)) return false;
   if (!ndjson_find_u64(line, "tga", r.agg.triage_analytical)) return false;
   if (!ndjson_find_u64(line, "tgm", r.agg.triage_mc_fallback)) return false;
-  if (!ndjson_find_u64(line, "mac", r.agg.triage_macro)) return false;
   const auto moments = moment_fields(r.agg);
   for (std::size_t i = 0; i < kMomentPrefixes.size(); ++i) {
     if (!get_moments(line, kMomentPrefixes[i], *moments[i])) return false;
@@ -193,11 +191,9 @@ LoadedCampaignStream load_campaign_stream(const std::string& path) {
     if (!ndjson_find_str(line, "t", kind)) break;
     if (kind == "h") {
       std::string schema;
-      std::uint64_t version = 0;
       if (out.header_seen || !ndjson_find_str(line, "schema", schema) ||
           schema != kCampaignStreamSchema ||
-          !ndjson_find_u64(line, "version", version) ||
-          version != kCampaignStreamVersion ||
+          !ndjson_find_u64(line, "version", out.version) ||
           !ndjson_find_u64(line, "digest", out.spec_digest) ||
           !ndjson_find_u64(line, "jobs", out.jobs_total) ||
           !ndjson_find_u64(line, "seed", out.seed)) {

@@ -36,9 +36,9 @@ inline constexpr std::string_view kCampaignStreamSchema =
 /// spec digest now hashes each policy's sizing/buffering knobs — which
 /// decide the netlist a cell's dies fabricate on — so version-2 streams
 /// are not resumable either.  Version 4 added the stage-macromodel tier
-/// (DESIGN.md §19): shard records gain the macro-decided tally (mac)
-/// and the digest hashes the tier selector plus the macromodel knobs.
-inline constexpr std::uint64_t kCampaignStreamVersion = 4;
+/// (shard-record tally mac, digest hashes the tier selector and its
+/// knobs).  Version 5 removed that tier: no mac, no macro knobs.
+inline constexpr std::uint64_t kCampaignStreamVersion = 5;
 
 /// One completed wafer shard: job identity + full reducer state.
 struct ShardRecord {
@@ -64,6 +64,9 @@ bool parse_shard_record(std::string_view line, ShardRecord& out);
 /// stream file.
 struct LoadedCampaignStream {
   bool header_seen = false;
+  /// The header's stream version — any version loads, so resume can
+  /// refuse a stream from another version loudly instead of restarting.
+  std::uint64_t version = 0;
   std::uint64_t spec_digest = 0;
   std::uint64_t jobs_total = 0;
   std::uint64_t seed = 0;

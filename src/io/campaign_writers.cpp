@@ -127,7 +127,6 @@ void write_campaign_json(std::ostream& os, const CampaignReport& report) {
        << ", \"mc_samples_budget\": " << a.mc_samples_budget
        << ", \"mc_converged_dies\": " << a.mc_converged_dies << ",\n";
     os << "     \"triage_analytical\": " << a.triage_analytical
-       << ", \"triage_macro\": " << a.triage_macro
        << ", \"triage_mc_fallback\": " << a.triage_mc_fallback << ",\n";
 
     const PortfolioStats& pf = report.cells[c].portfolio;

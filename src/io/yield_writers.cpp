@@ -78,14 +78,13 @@ void write_yield_json(std::ostream& os, const YieldReport& report) {
   os << "  \"mc_sample_savings\": " << num(report.mc_sample_savings())
      << ",\n";
   os << "  \"mc_converged_dies\": " << report.mc_converged_dies << ",\n";
-  // Analytic screen accounting (DESIGN.md §16 triage, §19 macromodel):
+  // Analytic screen accounting (DESIGN.md §16 triage):
   // all counts are 0, the fraction 0, and the tier "flat" when no
   // screen is on, so the schema never switches.
   os << "  \"triage\": {\"enabled\": "
      << (report.config.effective_tier() != EvalTier::Flat ? "true" : "false")
      << ", \"tier\": \"" << eval_tier_name(report.config.effective_tier())
      << "\", \"analytical\": " << report.triage_analytical
-     << ", \"macro\": " << report.triage_macro
      << ", \"mc_fallback\": " << report.triage_mc_fallback
      << ", \"fraction\": " << num(report.triage_fraction())
      << ", \"confidence\": " << num(report.config.triage.confidence)

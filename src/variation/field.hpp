@@ -42,13 +42,6 @@ class ExposureField {
   double lgate_nom() const { return lgate_nom_; }
   double max_dev_frac() const { return max_dev_frac_; }
 
-  /// The rescaled polynomial: eval() is the fractional deviation from
-  /// nominal at a field position.  The quadratic terms (a, b, e) are
-  /// shift-invariant, which is what lets the stage macromodel (DESIGN.md
-  /// §19) decompose any die's systematic map into an exact affine
-  /// function of a 3-scalar die basis plus a die-independent residual.
-  const PolyCoeffs& coeffs() const { return coeffs_; }
-
   /// Systematic Lgate [nm] at a field position [mm]; positions are
   /// clamped to the field.
   double lgate_at(double x_mm, double y_mm) const;

@@ -95,7 +95,6 @@ void YieldAggregate::add(const DieOutcome& d, int num_islands,
   if (d.mc_stop == McStop::Converged) ++mc_converged_dies;
   if (d.triage_tier == TriageTier::Analytical) ++triage_analytical;
   if (d.triage_tier == TriageTier::McFallback) ++triage_mc_fallback;
-  if (d.triage_tier == TriageTier::Macro) ++triage_macro;
 }
 
 void YieldAggregate::merge(const YieldAggregate& other) {
@@ -125,7 +124,6 @@ void YieldAggregate::merge(const YieldAggregate& other) {
   mc_converged_dies += other.mc_converged_dies;
   triage_analytical += other.triage_analytical;
   triage_mc_fallback += other.triage_mc_fallback;
-  triage_macro += other.triage_macro;
   fmax_ghz.merge(other.fmax_ghz);
   wns_all_low_ns.merge(other.wns_all_low_ns);
   wns_final_ns.merge(other.wns_final_ns);
@@ -170,28 +168,16 @@ DieOutcome YieldAnalyzer::analyze_die(StaEngine& engine, const WaferDie& die,
   CompensationController ctrl(*design_, engine, *model_, *plan_, *sensors_);
   const std::vector<double> systematic =
       model_->systematic_lgates(*design_, die.location);
-  const EvalTier tier = cfg.effective_tier();
-  if (tier == EvalTier::Flat) {
+  if (cfg.effective_tier() == EvalTier::Flat) {
     return analyze_die_with(engine, ctrl, die, cfg, systematic);
   }
   // Single-die screening: screen this die's map exactly as the wafer
   // path screens its reticle slot (level-0 corners), so the outcome is
   // bit-identical to the die's wafer-run outcome.
   ctrl.set_level(0);
-  SlotTriage st;
-  if (tier == EvalTier::Macro) {
-    st = slot_verdict(macro_library(cfg.macro).evaluate(systematic), cfg);
-  } else {
-    const CanonicalSsta canon(*design_, engine, *model_);
-    st = triage_slot(canon, systematic, cfg);
-  }
+  const CanonicalSsta canon(*design_, engine, *model_);
+  const SlotTriage st = slot_verdict(canon.run(systematic), cfg);
   return analyze_die_with(engine, ctrl, die, cfg, systematic, &st);
-}
-
-SlotTriage YieldAnalyzer::triage_slot(const CanonicalSsta& canon,
-                                      std::span<const double> systematic,
-                                      const YieldConfig& cfg) const {
-  return slot_verdict(canon.run(systematic), cfg);
 }
 
 SlotTriage YieldAnalyzer::slot_verdict(const CanonicalResult& r,
@@ -233,16 +219,16 @@ SlotTriage YieldAnalyzer::slot_verdict(const CanonicalResult& r,
   return out;
 }
 
-std::vector<SlotTriage> YieldAnalyzer::triage_screen(
+std::vector<SlotTriage> YieldAnalyzer::tier_screen(
     const WaferModel& wafer, const YieldConfig& cfg,
     std::span<const std::vector<double>> slot_maps) const {
+  if (cfg.effective_tier() == EvalTier::Flat) return {};
   std::vector<std::vector<double>> local_maps;
   if (slot_maps.empty()) {
     local_maps = reticle_slot_maps(wafer);
     slot_maps = local_maps;
   }
   std::vector<SlotTriage> screen(slot_maps.size());
-  if (cfg.effective_tier() != EvalTier::Triage) return screen;
   // Level-0 (all-low) corners: the exact supply state the MC population
   // pass runs at, so the analytic moments answer the same question.
   StaEngine engine(*sta_);
@@ -251,54 +237,9 @@ std::vector<SlotTriage> YieldAnalyzer::triage_screen(
   for (std::size_t s = 0; s < slot_maps.size(); ++s) {
     // Slots with no die on this wafer keep the default (undecided) entry.
     if (slot_maps[s].empty()) continue;
-    screen[s] = triage_slot(canon, slot_maps[s], cfg);
+    screen[s] = slot_verdict(canon.run(slot_maps[s]), cfg);
   }
   return screen;
-}
-
-const StageMacroLibrary& YieldAnalyzer::macro_library(
-    const MacroConfig& cfg) const {
-  std::lock_guard<std::mutex> lock(macro_mutex_);
-  if (macro_lib_ == nullptr || macro_key_.knots != cfg.knots ||
-      macro_key_.grad_step != cfg.grad_step) {
-    // Characterize at the level-0 (all-low) corner state — the supply
-    // state every screen asks about — on a private engine clone.
-    StaEngine engine(*sta_);
-    engine.compute_base_all_low();
-    macro_lib_ =
-        std::make_unique<StageMacroLibrary>(*design_, engine, *model_, cfg);
-    macro_key_ = cfg;
-  }
-  return *macro_lib_;
-}
-
-std::vector<SlotTriage> YieldAnalyzer::macro_screen(
-    const WaferModel& wafer, const YieldConfig& cfg,
-    std::span<const std::vector<double>> slot_maps) const {
-  std::vector<std::vector<double>> local_maps;
-  if (slot_maps.empty()) {
-    local_maps = reticle_slot_maps(wafer);
-    slot_maps = local_maps;
-  }
-  std::vector<SlotTriage> screen(slot_maps.size());
-  if (cfg.effective_tier() != EvalTier::Macro) return screen;
-  const StageMacroLibrary& lib = macro_library(cfg.macro);
-  for (std::size_t s = 0; s < slot_maps.size(); ++s) {
-    if (slot_maps[s].empty()) continue;
-    screen[s] = slot_verdict(lib.evaluate(slot_maps[s]), cfg);
-  }
-  return screen;
-}
-
-std::vector<SlotTriage> YieldAnalyzer::tier_screen(
-    const WaferModel& wafer, const YieldConfig& cfg,
-    std::span<const std::vector<double>> slot_maps) const {
-  switch (cfg.effective_tier()) {
-    case EvalTier::Triage: return triage_screen(wafer, cfg, slot_maps);
-    case EvalTier::Macro: return macro_screen(wafer, cfg, slot_maps);
-    case EvalTier::Flat: break;
-  }
-  return {};
 }
 
 DieOutcome YieldAnalyzer::analyze_die_with(
@@ -331,15 +272,14 @@ DieOutcome YieldAnalyzer::die_outcome(
   // 1. Population statistics: MC SSTA at the all-low supply.  The level-0
   // base restore and the systematic map are both cached — across dies
   // (controller snapshots) and across the reticle slot (shared map).
-  // With triage enabled (DESIGN.md §16), a die whose slot screen cleared
+  // On the Triage tier (DESIGN.md §16), a die whose slot screen cleared
   // the confidence band takes the analytic verdict instead and skips MC
   // — but still consumes the would-be MC seed so every downstream draw
   // (fabrication) stays bit-identical to the MC path.
   const EvalTier tier = cfg.effective_tier();
   if (tier != EvalTier::Flat && triage != nullptr && triage->decided) {
     (void)die_rng.next();  // the MC seed the skipped run would have taken
-    out.triage_tier = tier == EvalTier::Macro ? TriageTier::Macro
-                                              : TriageTier::Analytical;
+    out.triage_tier = TriageTier::Analytical;
     out.triage_margin_ns = triage->margin_ns;
     out.triage_band_ns = triage->band_ns;
     out.mc_severity = triage->severity;
@@ -509,13 +449,11 @@ void YieldAnalyzer::aggregate(YieldReport& report) const {
   report.mc_converged_dies = 0;
   report.triage_analytical = 0;
   report.triage_mc_fallback = 0;
-  report.triage_macro = 0;
   for (const DieOutcome& d : report.dies) {
     report.mc_samples_drawn += static_cast<std::size_t>(std::max(d.mc_samples, 0));
     if (d.mc_stop == McStop::Converged) ++report.mc_converged_dies;
     if (d.triage_tier == TriageTier::Analytical) ++report.triage_analytical;
     if (d.triage_tier == TriageTier::McFallback) ++report.triage_mc_fallback;
-    if (d.triage_tier == TriageTier::Macro) ++report.triage_macro;
   }
   for (const DieOutcome& d : report.dies) {
     const auto p = static_cast<std::size_t>(d.policy);
@@ -567,8 +505,8 @@ YieldReport YieldAnalyzer::analyze(const WaferModel& wafer,
 
   const std::vector<std::vector<double>> slot_maps = reticle_slot_maps(wafer);
   // One screen per wafer (empty on the flat tier), shared read-only by
-  // every worker: side² canonical passes (§16) or side² macromodel
-  // interpolations (§19) up front buy MC skips on every decided die.
+  // every worker: side² canonical passes (§16) up front buy MC skips on
+  // every decided die.
   const std::vector<SlotTriage> screen = tier_screen(wafer, cfg, slot_maps);
 
   // One YieldWorker per pool worker (DESIGN.md §20), living for this

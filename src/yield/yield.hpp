@@ -32,15 +32,12 @@
 #include <array>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <tuple>
 #include <utility>
 #include <vector>
 
-#include <memory>
-#include <mutex>
-
 #include "power/power.hpp"
-#include "ssta/macromodel.hpp"
 #include "util/parallel.hpp"
 #include "util/stats.hpp"
 #include "variation/mc_ssta.hpp"
@@ -52,7 +49,7 @@
 
 namespace vipvt {
 
-class CanonicalSsta;
+struct CanonicalResult;
 class Flow;
 
 /// Post-silicon tuning decision for one die, in escalation order.
@@ -68,24 +65,27 @@ const char* tuning_policy_name(TuningPolicy p);
 /// high, 'X' discard.
 char tuning_policy_glyph(TuningPolicy p, int islands_raised);
 
-/// Which tier decided a die's population statistics (DESIGN.md §16/§19).
+/// Which tier decided a die's population statistics (DESIGN.md §16).
 enum class TriageTier : std::uint8_t {
-  Off = 0,     ///< triage disabled: the die ran the full MC path
+  Off = 0,     ///< flat tier: the die ran the full MC path
   Analytical,  ///< canonical-SSTA margin cleared the band; MC skipped
   McFallback,  ///< margin inside the band; adaptive MC ran unchanged
-  Macro,       ///< stage-macromodel margin cleared the band; MC skipped
+  /// Never produced: kept only so perfbench/ compiles; goes in the next
+  /// benchmark change.
+  Macro,
 };
 const char* triage_tier_name(TriageTier t);
 
-/// How a die's population statistics are evaluated (DESIGN.md §19):
-/// Flat runs per-die MC on the full gate graph; Triage screens reticle
-/// slots with one flat canonical pass each (§16); Macro screens them by
-/// interpolating pre-characterized stage macromodels — no per-slot graph
-/// propagation at all.  Triage and Macro share the TriageConfig band and
-/// fall back to the identical MC path on undecided slots.
+/// How a die's population statistics are evaluated: Flat runs per-die
+/// MC on the full gate graph; Triage screens reticle slots with one
+/// canonical pass each (DESIGN.md §16) and falls back to the identical
+/// MC path on undecided slots.
 enum class EvalTier : std::uint8_t {
   Flat = 0,
   Triage,
+  /// The removed stage-macromodel tier: YieldConfig::effective_tier()
+  /// rejects it.  Kept only so perfbench/ compiles; goes in the next
+  /// benchmark change.
   Macro,
 };
 const char* eval_tier_name(EvalTier t);
@@ -100,7 +100,6 @@ const char* eval_tier_name(EvalTier t);
 /// analytic moments by, at `confidence`, plus an absolute model-error
 /// allowance for the linearization/Clark approximations.
 struct TriageConfig {
-  bool enabled = false;
   /// Confidence level of the CI half-widths the band is built from (the
   /// stated error rate of the analytic verdict is 1 - confidence).
   double confidence = 0.95;
@@ -130,26 +129,21 @@ struct YieldConfig {
   std::size_t speed_bins = 8;
   bool allow_escalation = true;
   bool allow_chip_wide_fallback = true;
-  /// Analytical triage tier (off by default: bit-identical to the
-  /// pre-triage flow).  With triage on, a die's non-MC outputs (policy,
-  /// wns, power) are STILL bit-identical to a triage-off run — the
-  /// analytic screen replaces only the MC population statistics
+  /// Band knobs of the Triage tier.
+  TriageConfig triage{};
+  /// Evaluation tier (Flat by default).  On Triage, a die's non-MC
+  /// outputs (policy, wns, power) are STILL bit-identical to a Flat run
+  /// — the analytic screen replaces only the MC population statistics
   /// (mc_severity, fmax) on dies it decides, and consumes the same RNG
   /// stream positions so fabrication stays aligned.
-  TriageConfig triage{};
-  /// Evaluation tier (DESIGN.md §19).  Flat honors the legacy
-  /// triage.enabled flag (effective_tier()); Macro screens slots through
-  /// the stage macromodel with the same band/fallback contract as
-  /// Triage, including the RNG-position guarantee above.
   EvalTier tier = EvalTier::Flat;
-  /// Macromodel characterization knobs (used when the effective tier is
-  /// Macro); part of the analyzer's library cache key.
-  MacroConfig macro{};
 
-  /// Resolves the legacy triage.enabled flag: an explicit tier wins,
-  /// otherwise triage.enabled selects Triage.
+  /// The tier every entry point runs; throws std::invalid_argument on
+  /// the removed EvalTier::Macro rather than reinterpreting it.
   EvalTier effective_tier() const {
-    if (tier == EvalTier::Flat && triage.enabled) return EvalTier::Triage;
+    if (tier == EvalTier::Macro) {
+      throw std::invalid_argument("the stage-macromodel tier was removed");
+    }
     return tier;
   }
 };
@@ -170,11 +164,11 @@ struct DieOutcome {
   double fmax_ghz = 0.0;  ///< 1 / speed-percentile min period (all-low)
   double total_mw = 0.0;  ///< under the selected policy, at this die
   double leakage_mw = 0.0;
-  /// Triage accounting (DESIGN.md §16).  Off when triage is disabled;
+  /// Triage accounting (DESIGN.md §16).  Off on the flat tier;
   /// Analytical dies report mc_samples == 0 and carry the analytic
   /// severity/fmax; McFallback dies ran the full MC path.  margin/band
   /// are the binding gating stage's analytic |3-sigma slack| and the
-  /// confidence band it was compared against (0/0 when triage is off).
+  /// confidence band it was compared against (0/0 on the flat tier).
   TriageTier triage_tier = TriageTier::Off;
   double triage_margin_ns = 0.0;
   double triage_band_ns = 0.0;
@@ -182,7 +176,7 @@ struct DieOutcome {
 
 /// Analytic verdict of one reticle slot (all dies of a slot share the
 /// systematic map, hence the same analytic moments): the per-slot output
-/// of YieldAnalyzer::triage_screen.
+/// of YieldAnalyzer::tier_screen.
 struct SlotTriage {
   bool decided = false;  ///< every gating stage cleared the band
   int severity = 0;      ///< analytic violating-stage count (3-sigma)
@@ -223,12 +217,10 @@ struct YieldAggregate {
   std::uint64_t mc_samples_drawn = 0;
   std::uint64_t mc_samples_budget = 0;
   std::uint64_t mc_converged_dies = 0;
-  /// Tier tallies (DESIGN.md §16/§19): dies decided analytically, dies
-  /// decided by the stage macromodel, dies that fell back to MC.  All 0
-  /// on the flat tier.
+  /// Tier tallies (DESIGN.md §16): dies decided analytically, dies that
+  /// fell back to MC.  Both 0 on the flat tier.
   std::uint64_t triage_analytical = 0;
   std::uint64_t triage_mc_fallback = 0;
-  std::uint64_t triage_macro = 0;
   ExactMoments fmax_ghz;  ///< over shipped dies with fmax > 0
   ExactMoments wns_all_low_ns;  ///< over all dies
   ExactMoments wns_final_ns;    ///< over all dies
@@ -275,9 +267,11 @@ struct YieldReport {
   /// Dies whose adaptive run stopped on McStop::Converged (0 for fixed
   /// runs, where every die reports FixedBudget).
   std::size_t mc_converged_dies = 0;
-  /// Tier tallies (DESIGN.md §16/§19); all 0 on the flat tier.
+  /// Tier tallies (DESIGN.md §16); both 0 on the flat tier.
   std::size_t triage_analytical = 0;
   std::size_t triage_mc_fallback = 0;
+  /// Always 0 and never written: kept only so perfbench/ compiles; goes
+  /// in the next benchmark change.
   std::size_t triage_macro = 0;
   /// Speed-bin histogram over shipped-die fmax: bin i spans
   /// [lo + i*step, lo + (i+1)*step).
@@ -311,11 +305,11 @@ struct YieldReport {
                : 1.0 - static_cast<double>(mc_samples_drawn) /
                            static_cast<double>(mc_samples_budget);
   }
-  /// Fraction of dies a screen decided without MC — analytical (§16)
-  /// plus macromodel (§19) verdicts (0 on the flat tier).
+  /// Fraction of dies the analytic screen decided without MC (0 on the
+  /// flat tier).
   double triage_fraction() const {
     return dies.empty() ? 0.0
-                        : static_cast<double>(triage_analytical + triage_macro) /
+                        : static_cast<double>(triage_analytical) /
                               static_cast<double>(dies.size());
   }
   /// Glyph string indexed by die id, for WaferModel::ascii_map().
@@ -416,40 +410,16 @@ class YieldAnalyzer {
                               const SlotTriage* triage = nullptr) const;
 
   /// The analytic screen of every reticle slot (size side², indexed by
-  /// reticle_slot; all-default entries when cfg.triage.enabled is
-  /// false).  A pure function of (variant, wafer geometry, cfg) —
-  /// independent of thread/shard partitioning — computed once per wafer
-  /// by analyze(), once per (variant, geometry, budget) by the campaign
-  /// layer.  `slot_maps` is reticle_slot_maps(wafer) (recomputed when
-  /// empty).  Cost: side² canonical passes, ~one MC sample each.
-  std::vector<SlotTriage> triage_screen(
-      const WaferModel& wafer, const YieldConfig& cfg,
-      std::span<const std::vector<double>> slot_maps = {}) const;
-
-  /// The macromodel screen of every reticle slot (DESIGN.md §19): same
-  /// shape and decision rule as triage_screen, but each slot's moments
-  /// come from StageMacroLibrary::evaluate on the cached library instead
-  /// of a flat canonical pass.  Characterization happens lazily on first
-  /// use (per analyzer, keyed by cfg.macro) and is amortized across
-  /// every wafer/cell this analyzer screens.
-  std::vector<SlotTriage> macro_screen(
-      const WaferModel& wafer, const YieldConfig& cfg,
-      std::span<const std::vector<double>> slot_maps = {}) const;
-
-  /// The screen for cfg.effective_tier(): triage_screen, macro_screen,
-  /// or an empty vector on the flat tier.  What analyze(), the campaign
-  /// planner, and shard fallbacks all route through.
+  /// reticle_slot; an empty vector on the flat tier).  A pure function
+  /// of (variant, wafer geometry, cfg) — independent of thread/shard
+  /// partitioning — computed once per wafer by analyze(), once per
+  /// (variant, geometry, budget) by the campaign planner, and by a shard
+  /// handed no screen.  `slot_maps` is reticle_slot_maps(wafer)
+  /// (recomputed when empty).  Cost: side² canonical passes, ~one MC
+  /// sample each.
   std::vector<SlotTriage> tier_screen(
       const WaferModel& wafer, const YieldConfig& cfg,
       std::span<const std::vector<double>> slot_maps = {}) const;
-
-  /// The lazily characterized stage-macromodel library for cfg.macro
-  /// (characterized once per analyzer at the all-low corner state;
-  /// re-characterized only when cfg.macro changes — the macro-tier cache
-  /// the campaign layer keys per (variant, policy, sigma) analyzer
-  /// slot).  Thread-safe; the returned reference lives as long as the
-  /// analyzer and the key stays unchanged.
-  const StageMacroLibrary& macro_library(const MacroConfig& cfg) const;
 
   /// Dense reticle-slot index of a die: die_iy * dies_per_field_side +
   /// die_ix.  All dies of a slot share one systematic Lgate map.
@@ -471,8 +441,8 @@ class YieldAnalyzer {
   /// shard compute maps itself).  Per-die bits are identical to
   /// analyze_die(), so aggregating any partition of [0, num_dies) and
   /// merging reproduces the aggregate of a full analyze() run exactly.
-  /// `screen` is triage_screen(wafer, cfg) (shared read-only; an empty
-  /// span with triage enabled makes the shard compute it itself, so a
+  /// `screen` is tier_screen(wafer, cfg) (shared read-only; an empty
+  /// span on the Triage tier makes the shard compute it itself, so a
   /// shard's bits never depend on whether the caller shared the screen).
   YieldAggregate analyze_shard(
       YieldWorker& worker, const WaferModel& wafer, const YieldConfig& cfg,
@@ -504,13 +474,8 @@ class YieldAnalyzer {
                         std::span<const std::vector<double>> slot_maps,
                         std::span<const SlotTriage> screen) const;
   void aggregate(YieldReport& report) const;
-  /// One slot's analytic verdict: canonical pass over `systematic`, then
-  /// the per-gating-stage margin-vs-band decision (DESIGN.md §16).
-  SlotTriage triage_slot(const CanonicalSsta& canon,
-                         std::span<const double> systematic,
-                         const YieldConfig& cfg) const;
-  /// The shared margin-vs-band decision applied to analytic stage
-  /// moments from either tier (§16 canonical pass or §19 macromodel).
+  /// One slot's analytic verdict: the per-gating-stage margin-vs-band
+  /// decision (DESIGN.md §16) on the slot's canonical-pass moments.
   SlotTriage slot_verdict(const CanonicalResult& res,
                           const YieldConfig& cfg) const;
 
@@ -526,12 +491,6 @@ class YieldAnalyzer {
   PowerEngine power_;
   double clock_freq_ghz_;
   PortfolioStats portfolio_{};
-  /// Lazy per-analyzer macromodel cache (DESIGN.md §19): characterized
-  /// at the all-low corner state on first macro_library() call, reused
-  /// until the MacroConfig key changes.
-  mutable std::mutex macro_mutex_;
-  mutable std::unique_ptr<StageMacroLibrary> macro_lib_;
-  mutable MacroConfig macro_key_{};
 };
 
 }  // namespace vipvt

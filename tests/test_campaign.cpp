@@ -167,33 +167,30 @@ TEST_F(CampaignFixture, ReportBytesInvariantAcrossShardSizeAndThreads) {
       << "shard_dies=2 threads=4";
 }
 
-/// Macro-tier campaigns (DESIGN.md §19): the per-cell screen comes from
-/// the analyzer slot's cached macromodel library, macro tallies flow
-/// into the cell aggregates, and the report stays byte-invariant across
-/// shard sizes and thread counts.  The spec digest covers the tier
-/// selector and the macromodel knobs, so checkpoints can't cross tiers.
-TEST_F(CampaignFixture, MacroTierCampaignIsShardInvariantAndDigested) {
+/// Triage-tier campaigns (DESIGN.md §16): the per-cell screen comes from
+/// the planner, triage tallies flow into the cell aggregates, and the
+/// report stays byte-invariant across shard sizes and thread counts.
+/// The spec digest covers the tier selector, so checkpoints can't cross
+/// tiers.
+TEST_F(CampaignFixture, TriageTierCampaignIsShardInvariantAndDigested) {
   CampaignSpec spec = tiny_spec();
   spec.wafers_per_cell = 1;
   spec.sigma_scales = {1.0};
   spec.policies = {PolicyMix{"full", true, true}};
-  spec.base.tier = EvalTier::Macro;
+  spec.base.tier = EvalTier::Triage;
 
   CampaignSpec flat = spec;
   flat.base.tier = EvalTier::Flat;
   EXPECT_NE(runner_->spec_digest(spec), runner_->spec_digest(flat));
-  CampaignSpec knots = spec;
-  knots.base.macro.knots = 5;
-  EXPECT_NE(runner_->spec_digest(spec), runner_->spec_digest(knots));
 
   const CampaignReport whole = runner_->run(spec);
-  std::uint64_t macro_decided = 0;
+  std::uint64_t decided = 0;
   for (const CellResult& cell : whole.cells) {
-    macro_decided += cell.agg.triage_macro;
-    EXPECT_EQ(cell.agg.triage_macro + cell.agg.triage_mc_fallback,
+    decided += cell.agg.triage_analytical;
+    EXPECT_EQ(cell.agg.triage_analytical + cell.agg.triage_mc_fallback,
               cell.agg.dies);
   }
-  EXPECT_GT(macro_decided, 0u);
+  EXPECT_GT(decided, 0u);
 
   const std::string baseline = report_bytes(whole);
   ThreadPool pool(3);
@@ -204,6 +201,25 @@ TEST_F(CampaignFixture, MacroTierCampaignIsShardInvariantAndDigested) {
     EXPECT_EQ(report_bytes(runner_->run(spec, opts)), baseline)
         << "shard_dies=" << shard;
   }
+}
+
+/// The stage-macromodel tier is gone: every entry point refuses
+/// EvalTier::Macro instead of quietly running another tier.
+TEST_F(CampaignFixture, RemovedMacroTierIsRejectedByEveryEntryPoint) {
+  const WaferModel wafer(small_wafer());
+  const YieldAnalyzer analyzer = YieldAnalyzer::from_flow(*flow_);
+  YieldConfig cfg = tiny_spec().base;
+  cfg.tier = EvalTier::Macro;
+  EXPECT_THROW(analyzer.analyze(wafer, cfg), std::invalid_argument);
+  YieldWorker worker(analyzer);
+  EXPECT_THROW(analyzer.analyze_shard(worker, wafer, cfg, 0, wafer.num_dies()),
+               std::invalid_argument);
+  StaEngine engine(flow_->sta());
+  EXPECT_THROW(analyzer.analyze_die(engine, wafer.dies()[0], cfg),
+               std::invalid_argument);
+  CampaignSpec spec = tiny_spec();
+  spec.base.tier = EvalTier::Macro;
+  EXPECT_THROW(runner_->run(spec), std::invalid_argument);
 }
 
 TEST_F(CampaignFixture, ShardPartitionMergeMatchesSinglePass) {
@@ -342,6 +358,39 @@ TEST_F(CampaignFixture, ResumeRejectsMismatchedSpec) {
   resume.stream_path = path;
   resume.resume = true;
   EXPECT_THROW(runner_->run(other, resume), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+TEST_F(CampaignFixture, ResumeRejectsOtherStreamVersion) {
+  // A stream written by another stream version must refuse resume
+  // loudly, not be overwritten by a fresh run.
+  CampaignSpec spec = tiny_spec();
+  spec.wafers_per_cell = 1;
+  spec.sigma_scales = {1.0};
+  spec.policies = {PolicyMix{"full", true, true}};
+  const std::string path = temp_path("campaign_version.ndjson");
+
+  CampaignRunOptions opts;
+  opts.stream_path = path;
+  opts.stop_after_jobs = 1;
+  (void)runner_->run(spec, opts);
+  std::string bytes = file_bytes(path);
+  const std::string current =
+      "\"version\": " + std::to_string(kCampaignStreamVersion);
+  const std::size_t at = bytes.find(current);
+  ASSERT_NE(at, std::string::npos);
+  bytes.replace(at, current.size(),
+                "\"version\": " + std::to_string(kCampaignStreamVersion - 1));
+  {
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os << bytes;
+  }
+
+  CampaignRunOptions resume;
+  resume.stream_path = path;
+  resume.resume = true;
+  EXPECT_THROW(runner_->run(spec, resume), std::runtime_error);
+  EXPECT_EQ(file_bytes(path), bytes);  // left untouched
   std::remove(path.c_str());
 }
 

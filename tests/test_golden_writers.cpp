@@ -74,7 +74,7 @@ DieOutcome synthetic_die(int id) {
   d.total_mw = 40.0 + 0.5 * id;
   d.leakage_mw = 4.0 + 0.125 * id;
   if (id % 3 == 0) {
-    d.triage_tier = TriageTier::Macro;
+    d.triage_tier = TriageTier::Analytical;
     d.mc_samples = 0;
     d.triage_margin_ns = 0.5;
     d.triage_band_ns = 0.125;
@@ -92,7 +92,7 @@ YieldReport synthetic_yield_report(const WaferModel& wafer) {
   r.wafer = golden_wafer_config();
   r.config.mc.samples = 16;
   r.config.seed = 77;
-  r.config.tier = EvalTier::Macro;
+  r.config.tier = EvalTier::Triage;
   r.island_activation.assign(3, 0);
   for (std::size_t i = 0; i < wafer.num_dies(); ++i) {
     const DieOutcome d = synthetic_die(static_cast<int>(i));
@@ -107,8 +107,8 @@ YieldReport synthetic_yield_report(const WaferModel& wafer) {
     if (d.policy != TuningPolicy::Discard && d.fmax_ghz > 0.0) {
       r.fmax_ghz.add(d.fmax_ghz);
     }
-    if (d.triage_tier == TriageTier::Macro) {
-      ++r.triage_macro;
+    if (d.triage_tier == TriageTier::Analytical) {
+      ++r.triage_analytical;
     } else {
       ++r.triage_mc_fallback;
       r.mc_samples_drawn += static_cast<std::size_t>(d.mc_samples);
@@ -208,7 +208,7 @@ TEST(GoldenWriters, CampaignNdjsonStreamMatchesGolden) {
     ASSERT_TRUE(parse_shard_record(serialize_shard_record(rec), back));
     EXPECT_EQ(back.job, rec.job);
     EXPECT_EQ(back.agg.dies, rec.agg.dies);
-    EXPECT_EQ(back.agg.triage_macro, rec.agg.triage_macro);
+    EXPECT_EQ(back.agg.triage_analytical, rec.agg.triage_analytical);
     EXPECT_EQ(back.agg.triage_mc_fallback, rec.agg.triage_mc_fallback);
     EXPECT_TRUE(back.agg.wns_final_ns == rec.agg.wns_final_ns);
     EXPECT_TRUE(back.agg.fmax_ghz == rec.agg.fmax_ghz);

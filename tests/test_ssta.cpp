@@ -1,8 +1,9 @@
 // Canonical-SSTA tests: Clark's max against closed forms and a 100k-
 // sample empirical check, the engine's analytic stage moments against a
 // Monte-Carlo reference on the tiny core, and the yield-layer triage
-// wiring contracts (DESIGN.md §16) — tier accounting, bit-identical
-// non-MC outputs, thread/shard invariance with triage enabled.
+// wiring contracts (DESIGN.md §16) — tier accounting, verdict agreement
+// with full MC, bit-identical non-MC outputs, thread/shard invariance on
+// the Triage tier.
 
 #include <gtest/gtest.h>
 
@@ -228,7 +229,7 @@ TEST_F(SstaFixture, HugeBandFallsBackToMcWithIdenticalResults) {
   const YieldAnalyzer analyzer = YieldAnalyzer::from_flow(*flow_);
   const YieldReport off = analyzer.analyze(wafer, triage_off_config());
   YieldConfig on_cfg = triage_off_config();
-  on_cfg.triage.enabled = true;
+  on_cfg.tier = EvalTier::Triage;
   on_cfg.triage.model_error_ns = 1e9;
   const YieldReport on = analyzer.analyze(wafer, on_cfg);
 
@@ -254,7 +255,7 @@ TEST_F(SstaFixture, AnalyticalVerdictSkipsMcAndKeepsSiliconBits) {
   const YieldAnalyzer analyzer = YieldAnalyzer::from_flow(*flow_);
   const YieldReport off = analyzer.analyze(wafer, triage_off_config());
   YieldConfig on_cfg = triage_off_config();
-  on_cfg.triage.enabled = true;
+  on_cfg.tier = EvalTier::Triage;
   on_cfg.triage.band_scale = 0.0;
   on_cfg.triage.model_error_ns = 0.0;
   const YieldReport on = analyzer.analyze(wafer, on_cfg);
@@ -272,11 +273,41 @@ TEST_F(SstaFixture, AnalyticalVerdictSkipsMcAndKeepsSiliconBits) {
   EXPECT_EQ(non_mc_fingerprint(on), non_mc_fingerprint(off));
 }
 
+TEST_F(SstaFixture, TriageVerdictsAgreeWithFlatMcAcrossSeeds) {
+  // Yield-verdict agreement: on analytically decided dies, the analytic
+  // severity may disagree with full MC at most at the band's stated
+  // error rate (the allowance bench/wafer_yield gates, with headroom for
+  // discreteness on small wafers).
+  const WaferModel wafer(test_wafer_config());
+  const YieldAnalyzer analyzer = YieldAnalyzer::from_flow(*flow_);
+  for (const std::uint64_t seed : {0xd1e5ull, 0xabc123ull}) {
+    YieldConfig off = triage_off_config();
+    off.seed = seed;
+    YieldConfig on = off;
+    on.tier = EvalTier::Triage;
+    const YieldReport flat = analyzer.analyze(wafer, off);
+    const YieldReport triaged = analyzer.analyze(wafer, on);
+    ASSERT_EQ(flat.dies.size(), triaged.dies.size());
+    std::size_t decided = 0, mismatched = 0;
+    for (std::size_t i = 0; i < triaged.dies.size(); ++i) {
+      if (triaged.dies[i].triage_tier != TriageTier::Analytical) continue;
+      ++decided;
+      if (triaged.dies[i].mc_severity != flat.dies[i].mc_severity) {
+        ++mismatched;
+      }
+    }
+    EXPECT_GT(decided, 0u) << "seed " << seed;
+    const double allowed = std::ceil(
+        3.0 * (1.0 - on.triage.confidence) * static_cast<double>(decided));
+    EXPECT_LE(static_cast<double>(mismatched), allowed) << "seed " << seed;
+  }
+}
+
 TEST_F(SstaFixture, TriagedReportBitIdenticalAcrossThreadCounts) {
   const WaferModel wafer(test_wafer_config());
   const YieldAnalyzer analyzer = YieldAnalyzer::from_flow(*flow_);
   YieldConfig cfg = triage_off_config();
-  cfg.triage.enabled = true;
+  cfg.tier = EvalTier::Triage;
   const auto serialize = [&](const YieldReport& r) {
     std::ostringstream os;
     write_yield_csv(os, wafer, r);
@@ -295,7 +326,7 @@ TEST_F(SstaFixture, ShardsWithoutSharedScreenReproduceTheWaferRun) {
   const WaferModel wafer(test_wafer_config());
   const YieldAnalyzer analyzer = YieldAnalyzer::from_flow(*flow_);
   YieldConfig cfg = triage_off_config();
-  cfg.triage.enabled = true;
+  cfg.tier = EvalTier::Triage;
   const YieldReport full = analyzer.analyze(wafer, cfg);
 
   YieldWorker worker(analyzer);
@@ -314,7 +345,7 @@ TEST_F(SstaFixture, SingleDiePathMatchesWaferPath) {
   const WaferModel wafer(test_wafer_config());
   const YieldAnalyzer analyzer = YieldAnalyzer::from_flow(*flow_);
   YieldConfig cfg = triage_off_config();
-  cfg.triage.enabled = true;
+  cfg.tier = EvalTier::Triage;
   const YieldReport full = analyzer.analyze(wafer, cfg);
   StaEngine engine(flow_->sta());
   const DieOutcome solo = analyzer.analyze_die(engine, wafer.dies()[0], cfg);

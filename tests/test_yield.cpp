@@ -308,7 +308,7 @@ TEST_F(YieldFixture, AdaptiveReportBitIdenticalAcrossThreadCounts) {
 }
 
 /// Every evaluation tier — flat MC, analytic triage (§16), adaptive MC
-/// (§14), stage macromodel (§19) — consumes the identical per-die RNG
+/// (§14) — consumes the identical per-die RNG
 /// positions, so the silicon-side outputs (fabrication, compensation,
 /// power) are bit-identical whichever tier screened the die.
 TEST_F(YieldFixture, AllTiersKeepIdenticalRngPositionsForSiliconBits) {
@@ -341,15 +341,9 @@ TEST_F(YieldFixture, AllTiersKeepIdenticalRngPositionsForSiliconBits) {
   const YieldReport adaptive = analyzer.analyze(*wafer_, adaptive_cfg);
   EXPECT_GT(adaptive.mc_converged_dies, 0u);
 
-  YieldConfig macro_cfg = test_yield_config();
-  macro_cfg.tier = EvalTier::Macro;
-  const YieldReport macro = analyzer.analyze(*wafer_, macro_cfg);
-  EXPECT_GT(macro.triage_macro, 0u);
-
   const std::string want = silicon_bits(flat);
   EXPECT_EQ(silicon_bits(triage), want);
   EXPECT_EQ(silicon_bits(adaptive), want);
-  EXPECT_EQ(silicon_bits(macro), want);
 }
 
 TEST_F(YieldFixture, CsvHasOneRowPerDie) {
