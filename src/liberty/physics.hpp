@@ -70,15 +70,34 @@ struct CharParams {
   /// Un-normalized alpha-power delay (Eq. 3).  Only ratios of this value
   /// are meaningful; characterization anchors the absolute scale.
   double raw_delay(double lgate_nm, double vdd, double vth0_class) const {
-    const double vth = vth_eff(lgate_nm, vdd, vth0_class);
+    const LgateTerms t = lgate_terms(lgate_nm);
+    return raw_delay_terms(t.lgate_15, t.dibl, vdd, vth0_class);
+  }
+  double raw_delay(double lgate_nm, double vdd) const {
+    return raw_delay(lgate_nm, vdd, vth0);
+  }
+
+  /// The Lgate-only terms of raw_delay: pow(Lgate, 1.5) and the DIBL
+  /// exponential exp(-alpha_dibl * Lgate) of Eq. 4.
+  struct LgateTerms {
+    double lgate_15;
+    double dibl;
+  };
+  LgateTerms lgate_terms(double lgate_nm) const {
+    return {std::pow(lgate_nm, 1.5), std::exp(-alpha_dibl * lgate_nm)};
+  }
+
+  /// raw_delay from the terms above: the same operations in the same
+  /// order, so bit-identical to raw_delay(Lgate, ...).  A caller that
+  /// evaluates one gate at both supplies computes the terms once.
+  double raw_delay_terms(double lgate_15, double dibl, double vdd,
+                         double vth0_class) const {
+    const double vth = vth0_class - vdd * dibl;
     const double overdrive = vdd - vth;
     if (overdrive <= 0.0) {
       throw std::domain_error("raw_delay: Vdd below effective threshold");
     }
-    return std::pow(lgate_nm, 1.5) * vdd / std::pow(overdrive, alpha);
-  }
-  double raw_delay(double lgate_nm, double vdd) const {
-    return raw_delay(lgate_nm, vdd, vth0);
+    return lgate_15 * vdd / std::pow(overdrive, alpha);
   }
 
   /// raw_delay with pow(Lgate, 1.5) strength-reduced to Lgate*sqrt(Lgate)
@@ -88,12 +107,8 @@ struct CharParams {
   /// delay-factor tables are built from this form.
   double raw_delay_fast(double lgate_nm, double vdd,
                         double vth0_class) const {
-    const double vth = vth_eff(lgate_nm, vdd, vth0_class);
-    const double overdrive = vdd - vth;
-    if (overdrive <= 0.0) {
-      throw std::domain_error("raw_delay_fast: Vdd below effective threshold");
-    }
-    return lgate_nm * std::sqrt(lgate_nm) * vdd / std::pow(overdrive, alpha);
+    return raw_delay_terms(lgate_nm * std::sqrt(lgate_nm),
+                           std::exp(-alpha_dibl * lgate_nm), vdd, vth0_class);
   }
 
   /// Delay multiplier of a gate with the given Lgate at the given Vdd,

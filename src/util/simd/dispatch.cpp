@@ -88,11 +88,17 @@ Arch detect_default() {
   return table_for(wanted) != nullptr ? wanted : best;
 }
 
+/// The active arch and its resolved table, so a kernel call reads one
+/// pointer instead of re-probing the CPU.  Both are written only by
+/// select(): at first use and from set_arch/reset_arch.
 struct Dispatch {
   Arch default_arch;
   std::atomic<int> active;
-  Dispatch() : default_arch(detect_default()) {
-    active.store(static_cast<int>(default_arch), std::memory_order_relaxed);
+  std::atomic<const Kernels*> table;
+  Dispatch() : default_arch(detect_default()) { select(default_arch); }
+  void select(Arch a) {
+    active.store(static_cast<int>(a), std::memory_order_relaxed);
+    table.store(table_for(a), std::memory_order_relaxed);
   }
 };
 
@@ -104,7 +110,7 @@ Dispatch& state() {
 }  // namespace
 
 const Kernels& active_kernels() {
-  return *table_for(active_arch());
+  return *state().table.load(std::memory_order_relaxed);
 }
 
 Arch active_arch() {
@@ -124,13 +130,13 @@ std::vector<Arch> available_archs() {
 
 bool set_arch(Arch a) {
   if (table_for(a) == nullptr) return false;
-  state().active.store(static_cast<int>(a), std::memory_order_relaxed);
+  state().select(a);
   return true;
 }
 
 void reset_arch() {
   Dispatch& d = state();
-  d.active.store(static_cast<int>(d.default_arch), std::memory_order_relaxed);
+  d.select(d.default_arch);
 }
 
 const char* arch_name(Arch a) {

@@ -121,10 +121,17 @@ double VariationModel::sample_lgate(double systematic_nm, Point cell_pos_um,
 
 double VariationModel::delay_factor(double lgate_nm, int corner,
                                     VthClass vth) const {
+  const CharParams::LgateTerms t = cp_.lgate_terms(lgate_nm);
+  return delay_factor_terms(t.lgate_15, t.dibl, corner, vth);
+}
+
+double VariationModel::delay_factor_terms(double lgate_15, double dibl,
+                                          int corner, VthClass vth) const {
   // Same quotient as CharParams::delay_factor, with the nominal
   // denominator read from the constructor-time cache.
   const std::size_t c = corner == kVddHigh ? 1 : 0;
-  return cp_.raw_delay(lgate_nm, vdd_of_corner(corner), cp_.vth0_of(vth)) /
+  return cp_.raw_delay_terms(lgate_15, dibl, vdd_of_corner(corner),
+                             cp_.vth0_of(vth)) /
          nominal_raw_delay_[c][static_cast<std::size_t>(vth)];
 }
 

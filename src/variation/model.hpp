@@ -133,6 +133,11 @@ class VariationModel {
   double delay_factor(double lgate_nm, int corner,
                       VthClass vth = VthClass::Svt) const;
 
+  /// delay_factor from the gate's CharParams::lgate_terms: bit-identical
+  /// to delay_factor(Lgate, corner, vth), one pow once the terms are known.
+  double delay_factor_terms(double lgate_15, double dibl, int corner,
+                            VthClass vth = VthClass::Svt) const;
+
   /// Leakage multiplier at the given corner, relative to nominal Lgate
   /// at the low corner (absolute corner effect included: the power
   /// engine applies this directly on low-Vdd reference leakage).

@@ -1,6 +1,8 @@
 #include "vi/compensate.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 namespace vipvt {
@@ -42,57 +44,110 @@ CompensationController::CompensationController(const Design& design,
 
 std::vector<double> CompensationController::chip_factors(
     const VirtualChip& chip) const {
-  std::vector<double> factors;
-  fill_factors(chip, factors);
-  return factors;
-}
-
-void CompensationController::fill_factors(const VirtualChip& chip,
-                                          std::vector<double>& out) const {
-  out.resize(chip.lgate_nm.size());
+  std::vector<double> out(chip.lgate_nm.size());
   for (InstId i = 0; i < out.size(); ++i) {
     out[i] = model_->delay_factor(chip.lgate_nm[i], sta_->inst_corner(i),
                                   design_->cell_of(i).vth);
   }
+  return out;
 }
+
+namespace {
+
+template <class T>
+bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+bool same_bits(const StaEngine::BaseSnapshot& a,
+               const StaEngine::BaseSnapshot& b) {
+  return same_bits(a.edge_base, b.edge_base) &&
+         same_bits(a.launch_base, b.launch_base) &&
+         same_bits(a.inst_corner, b.inst_corner);
+}
+
+}  // namespace
 
 const CompensationController::Level& CompensationController::level(int k) {
   const int chip_wide = plan_->num_islands() + 1;
   if (k < 0 || k > chip_wide) {
     throw std::invalid_argument("CompensationController: level out of range");
   }
-  if (levels_.empty()) {
-    levels_.resize(static_cast<std::size_t>(chip_wide) + 1);
+  if (canon_.empty()) {
+    const auto slots = static_cast<std::size_t>(chip_wide) + 1;
+    canon_.assign(slots, -1);
+    levels_.resize(slots);
+    wns_.resize(slots);
+    wns_stamp_.assign(slots, 0);
   }
-  auto& slot = levels_[static_cast<std::size_t>(k)];
-  if (slot == nullptr) {
+  const auto slot = static_cast<std::size_t>(k);
+  if (canon_[slot] < 0) {
     const Level* base = k == 0 ? nullptr : &level(0);
     sta_->compute_base(
         k == chip_wide
             ? std::vector<int>(static_cast<std::size_t>(chip_wide), kVddHigh)
             : plan_->corners_for_severity(k));
-    auto lv = std::make_unique<Level>();
-    lv->snap = sta_->snapshot_bases();
-    if (base != nullptr) {
-      for (InstId i = 0; i < lv->snap.inst_corner.size(); ++i) {
-        if (lv->snap.inst_corner[i] != base->snap.inst_corner[i]) {
-          lv->flipped.push_back(i);
-        }
+    StaEngine::BaseSnapshot snap = sta_->snapshot_bases();
+    for (std::size_t c = 0; c < levels_.size() && canon_[slot] < 0; ++c) {
+      if (levels_[c] != nullptr && same_bits(levels_[c]->snap, snap)) {
+        canon_[slot] = static_cast<int>(c);
       }
     }
-    slot = std::move(lv);
+    if (canon_[slot] < 0) {
+      auto lv = std::make_unique<Level>();
+      lv->snap = std::move(snap);
+      if (base != nullptr) {
+        for (InstId i = 0; i < lv->snap.inst_corner.size(); ++i) {
+          if (lv->snap.inst_corner[i] != base->snap.inst_corner[i]) {
+            lv->flipped.push_back(i);
+          }
+        }
+      }
+      levels_[slot] = std::move(lv);
+      canon_[slot] = k;
+    }
+    held_ = canon_[slot];
   }
-  return *slot;
+  return *levels_[static_cast<std::size_t>(canon_[slot])];
 }
 
-void CompensationController::level_factors(const VirtualChip& chip, int k,
-                                           std::vector<double>& out) {
-  const Level& lv = level(k);
+int CompensationController::canonical_level(int k) {
+  level(k);
+  return canon_[static_cast<std::size_t>(k)];
+}
+
+void CompensationController::hold(int c) {
+  if (held_ == c) return;
+  sta_->restore_bases(levels_[static_cast<std::size_t>(c)]->snap);
+  held_ = c;
+}
+
+void CompensationController::level_factors(int c, std::vector<double>& out) {
+  const Level& lv = *levels_[static_cast<std::size_t>(c)];
   out = f0_;
+  // Two corners: a flipped instance sits at its other corner at every
+  // level, so its factor is computed once per die and replayed.
   for (const InstId i : lv.flipped) {
-    out[i] = model_->delay_factor(chip.lgate_nm[i], lv.snap.inst_corner[i],
-                                  design_->cell_of(i).vth);
+    if (other_stamp_[i] != epoch_) {
+      other_stamp_[i] = epoch_;
+      other_[i] = model_->delay_factor_terms(lgate_15_[i], dibl_[i],
+                                             lv.snap.inst_corner[i],
+                                             design_->cell_of(i).vth);
+    }
+    out[i] = other_[i];
   }
+}
+
+double CompensationController::level_wns(int k) {
+  const int c = canonical_level(k);
+  if (!wns_known(c)) {
+    if (lane_factors_.empty()) lane_factors_.resize(1);
+    level_factors(c, lane_factors_[0]);
+    hold(c);
+    remember_wns(c, sta_->analyze(lane_factors_[0]).wns);
+  }
+  return wns_[static_cast<std::size_t>(c)];
 }
 
 void CompensationController::set_level(int k) {
@@ -100,23 +155,45 @@ void CompensationController::set_level(int k) {
     throw std::invalid_argument("set_level: level out of range");
   }
   sta_->restore_bases(level(k).snap);
+  held_ = canon_[static_cast<std::size_t>(k)];
 }
 
 void CompensationController::set_chip_wide() {
-  sta_->restore_bases(level(plan_->num_islands() + 1).snap);
+  const int k = plan_->num_islands() + 1;
+  sta_->restore_bases(level(k).snap);
+  held_ = canon_[static_cast<std::size_t>(k)];
 }
 
 CompensationOutcome CompensationController::compensate(const VirtualChip& chip,
-                                                       bool allow_escalation) {
-  if (chip.lgate_nm.size() != design_->num_instances()) {
+                                                       bool allow_escalation,
+                                                       bool allow_chip_wide) {
+  const std::size_t n = design_->num_instances();
+  if (chip.lgate_nm.size() != n) {
     throw std::invalid_argument("compensate: chip/design size mismatch");
   }
   CompensationOutcome out;
+  ++epoch_;  // a new die: every memo stamp of the previous one is stale
 
   // --- post-silicon test at the nominal supply ----------------------------
   set_level(0);
-  fill_factors(chip, f0_);
+  const int c0 = held_;
+  const std::vector<int>& corner0 =
+      levels_[static_cast<std::size_t>(c0)]->snap.inst_corner;
+  const CharParams& cp = model_->char_params();
+  f0_.resize(n);
+  lgate_15_.resize(n);
+  dibl_.resize(n);
+  other_.resize(n);
+  other_stamp_.resize(n, 0);
+  for (InstId i = 0; i < n; ++i) {
+    const CharParams::LgateTerms t = cp.lgate_terms(chip.lgate_nm[i]);
+    lgate_15_[i] = t.lgate_15;
+    dibl_[i] = t.dibl;
+    f0_[i] = model_->delay_factor_terms(t.lgate_15, t.dibl, corner0[i],
+                                        design_->cell_of(i).vth);
+  }
   const StaResult truth0 = sta_->analyze(f0_);
+  remember_wns(c0, truth0.wns);
   out.wns_before = truth0.wns;
   out.sensor_stage_flags = sensor_flags(*sta_, *sensors_, truth0);
   for (PipeStage s :
@@ -138,60 +215,63 @@ CompensationOutcome CompensationController::compensate(const VirtualChip& chip,
 
   // --- raise islands per the detected scenario ------------------------------
   // Common case first, scalar: the detected level usually closes timing.
+  // Level 0 (a clean die, the bulk of a healthy wafer) and any level
+  // bit-identical to an analyzed one are answered by the WNS memo.
   const int detected = out.detected_severity;
   const int max_k = plan_->num_islands();
-  if (detected == 0) {
-    // The engine already sits at level 0 and truth0 IS that level's
-    // analysis: chip_factors/analyze are pure functions of (bases,
-    // corners, chip), so re-running them here would reproduce f0/truth0
-    // bitwise.  Clean dies — the bulk of a healthy wafer — skip a second
-    // exact-factor fill and full propagation this way.
-    out.wns_after = truth0.wns;
-    out.islands_raised = 0;
-    out.timing_met = truth0.wns >= 0.0;
-  } else {
-    if (lane_factors_.empty()) lane_factors_.resize(1);
-    level_factors(chip, detected, lane_factors_[0]);
-    set_level(detected);
-    const StaResult truth = sta_->analyze(lane_factors_[0]);
-    out.wns_after = truth.wns;
-    out.islands_raised = detected;
-    out.timing_met = truth.wns >= 0.0;
-  }
-  if (out.timing_met || !allow_escalation || detected >= max_k) return out;
+  out.islands_raised = detected;
+  out.wns_after = level_wns(detected);
+  out.timing_met = out.wns_after >= 0.0;
 
-  // Escalation: evaluate ALL remaining levels as one multi-base batch —
-  // lane j carries level detected+1+j's own base-delay snapshot — and
-  // pick the lowest level that closes timing, exactly the level the
-  // historical one-at-a-time walk would stop at.  Per-lane results are
-  // bit-identical to restore_bases + analyze, so every reported number
-  // matches the sequential loop bit-for-bit.
-  out.escalated = true;
-  const int first_level = detected + 1;
-  const auto lanes = static_cast<std::size_t>(max_k - detected);
-  std::vector<const StaEngine::BaseSnapshot*> bases(lanes);
-  if (lane_factors_.size() < lanes) lane_factors_.resize(lanes);
-  for (std::size_t j = 0; j < lanes; ++j) {
-    const int k = first_level + static_cast<int>(j);
-    level_factors(chip, k, lane_factors_[j]);
-    bases[j] = &level(k).snap;
-  }
-  std::vector<StaResult> results(lanes);
-  sta_->analyze_batch_bases(
-      bases, std::span<const std::vector<double>>(lane_factors_).first(lanes),
-      results);
-  std::size_t chosen = lanes - 1;  // none passing => stop at max_k
-  for (std::size_t j = 0; j < lanes; ++j) {
-    if (results[j].wns >= 0.0) {
-      chosen = j;
-      break;
+  if (!out.timing_met && allow_escalation && detected < max_k) {
+    // Escalation: evaluate every remaining level whose supply state is
+    // not yet known as one multi-base batch — lane j carries its own
+    // base-delay snapshot — and pick the lowest level that closes
+    // timing, exactly the level the one-at-a-time walk would stop at.
+    // Per-lane results are bit-identical to restore_bases + analyze.
+    out.escalated = true;
+    lane_slots_.clear();
+    lane_bases_.clear();
+    for (int k = detected + 1; k <= max_k; ++k) {
+      const int c = canonical_level(k);
+      if (wns_known(c) || std::find(lane_slots_.begin(), lane_slots_.end(),
+                                    c) != lane_slots_.end()) {
+        continue;
+      }
+      const std::size_t j = lane_slots_.size();
+      if (lane_factors_.size() <= j) lane_factors_.resize(j + 1);
+      level_factors(c, lane_factors_[j]);
+      lane_slots_.push_back(c);
+      lane_bases_.push_back(&levels_[static_cast<std::size_t>(c)]->snap);
     }
+    const std::size_t lanes = lane_slots_.size();
+    if (lane_results_.size() < lanes) lane_results_.resize(lanes);
+    sta_->analyze_batch_bases(
+        lane_bases_,
+        std::span<const std::vector<double>>(lane_factors_).first(lanes),
+        std::span<StaResult>(lane_results_).first(lanes));
+    for (std::size_t j = 0; j < lanes; ++j) {
+      remember_wns(lane_slots_[j], lane_results_[j].wns);
+    }
+    out.islands_raised = max_k;  // none passing => stop at max_k
+    for (int k = detected + 1; k < max_k; ++k) {
+      if (level_wns(k) >= 0.0) {
+        out.islands_raised = k;
+        break;
+      }
+    }
+    out.wns_after = level_wns(out.islands_raised);
+    out.timing_met = out.wns_after >= 0.0;
   }
-  out.islands_raised = first_level + static_cast<int>(chosen);
-  out.wns_after = results[chosen].wns;
-  out.timing_met = results[chosen].wns >= 0.0;
-  // Sequential postcondition: the engine holds the final level's bases.
-  set_level(out.islands_raised);
+
+  int final_level = out.islands_raised;
+  if (!out.timing_met && allow_chip_wide) {
+    final_level = max_k + 1;
+    out.chip_wide_wns = level_wns(final_level);
+  }
+  // Sequential postcondition: the engine holds the final assignment's
+  // bases.
+  hold(canon_[static_cast<std::size_t>(final_level)]);
   return out;
 }
 

@@ -17,7 +17,9 @@
 // the transformed design.
 
 #include <array>
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -56,6 +58,9 @@ struct CompensationOutcome {
   bool missed_violation = false;  ///< a violating endpoint had no sensor
   double wns_before = 0.0;
   double wns_after = 0.0;
+  /// WNS with every domain at high Vdd; set only when compensate() was
+  /// allowed the chip-wide fallback and the islands left timing unmet.
+  std::optional<double> chip_wide_wns;
 };
 
 class CompensationController {
@@ -69,13 +74,19 @@ class CompensationController {
   /// Runs detection + island raising (+ optional escalation) on one die.
   /// Escalation evaluates every remaining level as one multi-base
   /// analyze_batch_bases() batch (lane = level); the outcome is
-  /// bit-identical to the historical one-level-at-a-time walk.  Level-k
-  /// factors are derived from the die's level-0 factors by recomputing
-  /// only the instances level k flips to another corner (DESIGN.md §20),
-  /// bit-identical to chip_factors() after set_level(k).  Leaves the
-  /// engine at the final level's bases.
+  /// bit-identical to the historical one-level-at-a-time walk.  When the
+  /// islands leave timing unmet and `allow_chip_wide` is set, the
+  /// chip-wide assignment is evaluated too (chip_wide_wns), bit-identical
+  /// to set_chip_wide() + analyze(chip_factors()).  Each distinct supply
+  /// state is analyzed at most once per die (DESIGN.md §12), and level
+  /// factors are derived from the die's level-0 factors plus one cached
+  /// other-corner factor per flipped instance (DESIGN.md §20),
+  /// bit-identical to chip_factors() at that level.  Leaves the engine at
+  /// the bases of the last assignment the walk decides on: chip-wide
+  /// when evaluated, the final island level otherwise.
   CompensationOutcome compensate(const VirtualChip& chip,
-                                 bool allow_escalation = true);
+                                 bool allow_escalation = true,
+                                 bool allow_chip_wide = false);
 
   /// Per-instance delay factors of a chip under the engine's current
   /// corner assignment (exposed for power/analysis code).
@@ -101,38 +112,75 @@ class CompensationController {
 
   const IslandPlan& plan() const { return *plan_; }
 
+  /// Canonical slot of level k (num_islands + 1 = chip-wide): two levels
+  /// share a canonical slot exactly when their snapshots are bitwise
+  /// identical.  Fills level k on first use, which leaves the engine at
+  /// its bases.
+  int canonical_level(int k);
+
  private:
-  /// One cached level: slot k is severity level k for k <= num_islands,
-  /// the chip-wide all-high assignment for k == num_islands + 1.
+  /// One cached supply state: slot k is severity level k for
+  /// k <= num_islands, the chip-wide all-high assignment for
+  /// k == num_islands + 1.
   struct Level {
     StaEngine::BaseSnapshot snap;
     /// Instances whose corner differs from level 0's, ascending.
     std::vector<InstId> flipped;
   };
   /// Level k, filled on first use by compute_base() at its corner vector
-  /// (level 0 first, which the flipped list is taken against).  May
-  /// leave the engine at any level's bases.
+  /// (level 0 first, which the flipped list is taken against).  A fill
+  /// that reproduces an earlier level bit for bit is dropped and points
+  /// at that level's storage instead.  A fill leaves the engine at level
+  /// k's bases.
   const Level& level(int k);
 
-  /// chip_factors() into a reused buffer.
-  void fill_factors(const VirtualChip& chip, std::vector<double>& out) const;
+  /// Restore canonical slot c's bases unless the engine holds them.
+  void hold(int c);
 
-  /// out = level k's factors of `chip`, given its level-0 factors in
-  /// f0_: f0_ with level k's flipped instances re-evaluated at their
-  /// corner.
-  void level_factors(const VirtualChip& chip, int k, std::vector<double>& out);
+  /// out = the die's factors at canonical slot c: its level-0 factors
+  /// f0_ with c's flipped instances at their other corner, each computed
+  /// at most once per die from the stored Lgate terms.
+  void level_factors(int c, std::vector<double>& out);
+
+  /// The die's WNS at level k: the per-die memo, or one scalar analyze
+  /// at its bases (recorded in the memo).
+  double level_wns(int k);
+  bool wns_known(int c) const { return wns_stamp_[c] == epoch_; }
+  void remember_wns(int c, double wns) {
+    wns_stamp_[c] = epoch_;
+    wns_[c] = wns;
+  }
 
   const Design* design_;
   StaEngine* sta_;
   const VariationModel* model_;
   const IslandPlan* plan_;
   const RazorPlan* sensors_;
-  /// Lazily filled level() cache, num_islands + 2 slots.
+  /// Lazily filled level() cache, num_islands + 2 slots.  canon_[k] is
+  /// level k's canonical slot (-1 before its fill); only canonical slots
+  /// own a Level.
+  std::vector<int> canon_;
   std::vector<std::unique_ptr<Level>> levels_;
-  /// Per-die factor buffers, reused across compensate() calls: the
-  /// level-0 fill and one lane per escalation level.
-  std::vector<double> f0_;
+  /// Canonical slot whose bases the engine holds.  Trusted only inside
+  /// compensate(), which starts with an unconditional restore: callers
+  /// may re-base the engine between calls.
+  int held_ = -1;
+
+  /// Per-die state, reused across compensate() calls.  epoch_ numbers
+  /// the dies; a stamp equal to it marks an entry as this die's.
+  std::uint64_t epoch_ = 0;
+  std::vector<double> wns_;               ///< per canonical slot
+  std::vector<std::uint64_t> wns_stamp_;  ///< per canonical slot
+  std::vector<double> f0_;                ///< level-0 factors
+  std::vector<double> lgate_15_, dibl_;   ///< CharParams::lgate_terms
+  std::vector<double> other_;  ///< per instance, other-corner factor
+  std::vector<std::uint64_t> other_stamp_;
+  /// Escalation lanes, one per not-yet-analyzed canonical slot: its
+  /// slot, factors, bases and results.
+  std::vector<int> lane_slots_;
   std::vector<std::vector<double>> lane_factors_;
+  std::vector<const StaEngine::BaseSnapshot*> lane_bases_;
+  std::vector<StaResult> lane_results_;
 };
 
 }  // namespace vipvt

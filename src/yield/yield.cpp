@@ -319,7 +319,8 @@ DieOutcome YieldAnalyzer::die_outcome(
   Rng fab_rng = die_rng.fork();
   const VirtualChip chip =
       fabricate_chip(*design_, *model_, die.location, systematic, fab_rng);
-  const CompensationOutcome comp = ctrl.compensate(chip, cfg.allow_escalation);
+  const CompensationOutcome comp = ctrl.compensate(
+      chip, cfg.allow_escalation, cfg.allow_chip_wide_fallback);
   out.detected_severity = comp.detected_severity;
   out.islands_raised = comp.islands_raised;
   out.escalated = comp.escalated;
@@ -332,12 +333,11 @@ DieOutcome YieldAnalyzer::die_outcome(
   if (comp.timing_met) {
     out.policy = comp.islands_raised == 0 ? TuningPolicy::AllLow
                                           : TuningPolicy::NestedIslands;
-  } else if (cfg.allow_chip_wide_fallback) {
-    // Even all islands failed: the paper's chip-wide adaptive baseline.
-    ctrl.set_chip_wide();
-    const StaResult truth = engine.analyze(ctrl.chip_factors(chip));
-    out.wns_final_ns = truth.wns;
-    if (truth.wns >= 0.0) {
+  } else if (comp.chip_wide_wns.has_value()) {
+    // Even all islands failed: the paper's chip-wide adaptive baseline,
+    // evaluated by compensate() itself.
+    out.wns_final_ns = *comp.chip_wide_wns;
+    if (*comp.chip_wide_wns >= 0.0) {
       out.policy = TuningPolicy::ChipWideHigh;
       out.timing_met = true;
     } else {

@@ -6,7 +6,11 @@
 
 #include <bit>
 #include <cmath>
+#include <cstdint>
+#include <optional>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "netlist/vex.hpp"
 #include "placement/placer.hpp"
@@ -238,6 +242,50 @@ TEST_F(CompensateFixture, CompensateMatchesSequentialReferenceWalk) {
   }
 }
 
+// The chip-wide verdict compensate() returns under allow_chip_wide is the
+// public fallback: set_chip_wide + chip_factors + analyze.  This flow's
+// chip-wide state differs from its last island level, so the verdict
+// cannot be a copy of that level's.  A tightened clock makes every die
+// fail its islands.
+TEST_F(CompensateFixture, ChipWideVerdictMatchesPublicFallback) {
+  const int max_k = plan_->num_islands();
+  const double period = sta_->options().clock_period_ns * 0.9;
+  StaEngine eng(*sta_), ref_eng(*sta_);
+  eng.set_clock_period(period);
+  ref_eng.set_clock_period(period);
+  CompensationController ctrl(*design_, eng, *model_, *plan_, *razor_);
+  CompensationController ref(*design_, ref_eng, *model_, *plan_, *razor_);
+  EXPECT_NE(ctrl.canonical_level(max_k), ctrl.canonical_level(max_k + 1));
+  Rng rng(0xfa11);
+  int evaluated = 0;
+  for (int c = 0; c < 12; ++c) {
+    const VirtualChip chip =
+        fabricate_chip(*design_, *model_, DieLocation::point("ABCD"[c % 4]),
+                       rng);
+    const bool allow_escalation = c % 3 != 2;
+    const CompensationOutcome out =
+        ctrl.compensate(chip, allow_escalation, true);
+    if (out.timing_met) {
+      EXPECT_FALSE(out.chip_wide_wns.has_value()) << "chip " << c;
+      continue;
+    }
+    ++evaluated;
+    ref.set_chip_wide();
+    const StaResult truth = ref_eng.analyze(ref.chip_factors(chip));
+    ASSERT_TRUE(out.chip_wide_wns.has_value()) << "chip " << c;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(*out.chip_wide_wns),
+              std::bit_cast<std::uint64_t>(truth.wns))
+        << "chip " << c;
+    EXPECT_EQ(eng.snapshot_bases().edge_base,
+              ref_eng.snapshot_bases().edge_base)
+        << "chip " << c;
+    // Without the flag the controller leaves the fallback to the caller.
+    EXPECT_FALSE(ctrl.compensate(chip, allow_escalation).chip_wide_wns)
+        << "chip " << c;
+  }
+  EXPECT_GT(evaluated, 0);
+}
+
 TEST_F(CompensateFixture, SetLevelBitIdenticalToComputeBase) {
   CompensationController ctrl(*design_, *sta_, *model_, *plan_, *razor_);
   StaEngine eng(*sta_);
@@ -365,10 +413,10 @@ TEST_F(CompensateFixture, SlotMapFabricationMatchesLocationOverload) {
 // level-0 factors, re-evaluating only the instances the level flips to
 // another corner, and runs the escalation tail as multi-base lanes
 // without restoring each level.  Reference: a walk through the public
-// per-level calls only — set_level, chip_factors, analyze — on a
-// second controller.  The flow's clock is tight enough that every
-// sensor-covered detection level and escalation up to the last island
-// occur.
+// per-level calls only — set_level, chip_factors, analyze, then
+// set_chip_wide for the fallback — on a second controller.  The flow's
+// clock is tight enough that every sensor-covered detection level,
+// escalation up to the last island and the chip-wide leg occur.
 TEST(CompensateReferenceWalk, TightClockMatchesPublicLevelWalk) {
   FlowConfig fc;
   fc.vex = VexConfig::tiny();
@@ -402,14 +450,16 @@ TEST(CompensateReferenceWalk, TightClockMatchesPublicLevelWalk) {
                              flow.razor_plan());
 
   std::set<int> detected_seen, raised_seen;
-  int escalated = 0;
+  int escalated = 0, chip_wide_evaluated = 0;
   Rng rng(0xc0a5);
   for (int c = 0; c < 48; ++c) {
     const DieLocation loc = DieLocation::point("ABCD"[c % 4]);
     const VirtualChip chip =
         fabricate_chip(flow.design(), flow.variation(), loc, rng);
     const bool allow_escalation = c % 6 != 5;
-    const CompensationOutcome out = ctrl.compensate(chip, allow_escalation);
+    const bool allow_chip_wide = c % 4 != 3;
+    const CompensationOutcome out =
+        ctrl.compensate(chip, allow_escalation, allow_chip_wide);
 
     ref.set_level(0);
     const StaResult truth0 = ref_eng.analyze(ref.chip_factors(chip));
@@ -433,6 +483,12 @@ TEST(CompensateReferenceWalk, TightClockMatchesPublicLevelWalk) {
       truth = ref_eng.analyze(ref.chip_factors(chip));
       if (truth.wns >= 0.0 || !allow_escalation || k >= max_k) break;
     }
+    std::optional<double> chip_wide_wns;
+    if (truth.wns < 0.0 && allow_chip_wide) {
+      ref.set_chip_wide();
+      chip_wide_wns = ref_eng.analyze(ref.chip_factors(chip)).wns;
+      ++chip_wide_evaluated;
+    }
 
     EXPECT_EQ(out.sensor_stage_flags, flags) << "chip " << c;
     EXPECT_EQ(out.detected_severity, detected) << "chip " << c;
@@ -446,7 +502,15 @@ TEST(CompensateReferenceWalk, TightClockMatchesPublicLevelWalk) {
         << "chip " << c;
     EXPECT_EQ(out.timing_met, truth.wns >= 0.0) << "chip " << c;
     EXPECT_EQ(out.escalated, k > detected) << "chip " << c;
-    // Postcondition: the engine holds the final level's bases.
+    ASSERT_EQ(out.chip_wide_wns.has_value(), chip_wide_wns.has_value())
+        << "chip " << c;
+    if (chip_wide_wns.has_value()) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(*out.chip_wide_wns),
+                std::bit_cast<std::uint64_t>(*chip_wide_wns))
+          << "chip " << c;
+    }
+    // Postcondition: the engine holds the last evaluated assignment's
+    // bases.
     const auto got = eng.snapshot_bases();
     const auto want = ref_eng.snapshot_bases();
     EXPECT_EQ(got.edge_base, want.edge_base) << "chip " << c;
@@ -461,6 +525,228 @@ TEST(CompensateReferenceWalk, TightClockMatchesPublicLevelWalk) {
   }
   EXPECT_GT(escalated, 0);
   EXPECT_TRUE(raised_seen.count(max_k)) << "never escalated to the last island";
+  EXPECT_GT(chip_wide_evaluated, 0);
+}
+
+// The benchmark's near-cliff flow (clock margin -0.035) at sigma scales
+// 1-4.  There every instance is at the high corner at level 2, level 3
+// and chip-wide alike, so those three supply states share one canonical
+// snapshot, and dies escalate, fall back to chip-wide and fail both.
+class CliffCompensateFixture : public ::testing::Test {
+ protected:
+  static FlowConfig flow_config(double clock_margin) {
+    FlowConfig fc;
+    fc.vex = VexConfig::tiny();
+    fc.floorplan.target_utilization = 0.55;
+    fc.scenario.sweep_points = 6;
+    fc.scenario.mc.samples = 100;
+    fc.islands.mc_samples = 80;
+    fc.sim_cycles = 150;
+    fc.clock_margin = clock_margin;
+    return fc;
+  }
+  static void SetUpTestSuite() {
+    flow_ = new Flow(flow_config(-0.035));
+    flow_->plan_sensors();
+    for (int s = 1; s <= 4; ++s) {
+      VariationConfig vc = flow_->variation().config();
+      vc.three_sigma_random_frac *= s;
+      models_.push_back(new VariationModel(flow_->variation().char_params(),
+                                           flow_->variation().field(), vc));
+    }
+  }
+  static void TearDownTestSuite() {
+    for (VariationModel* m : models_) delete m;
+    models_.clear();
+    delete flow_;
+    flow_ = nullptr;
+  }
+  static CompensationController controller(StaEngine& eng,
+                                           const VariationModel& model) {
+    return CompensationController(flow_->design(), eng, model,
+                                  flow_->island_plan(), flow_->razor_plan());
+  }
+  static VirtualChip chip(const VariationModel& model, int c, Rng& rng) {
+    return fabricate_chip(flow_->design(), model,
+                          DieLocation::point("ABCD"[c % 4]), rng);
+  }
+
+  static Flow* flow_;
+  static std::vector<VariationModel*> models_;
+};
+
+Flow* CliffCompensateFixture::flow_ = nullptr;
+std::vector<VariationModel*> CliffCompensateFixture::models_;
+
+std::uint64_t bits_of(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+void expect_same_outcome(const CompensationOutcome& a,
+                         const CompensationOutcome& b, const std::string& at) {
+  EXPECT_EQ(a.sensor_stage_flags, b.sensor_stage_flags) << at;
+  EXPECT_EQ(a.detected_severity, b.detected_severity) << at;
+  EXPECT_EQ(a.islands_raised, b.islands_raised) << at;
+  EXPECT_EQ(a.timing_met, b.timing_met) << at;
+  EXPECT_EQ(a.escalated, b.escalated) << at;
+  EXPECT_EQ(a.missed_violation, b.missed_violation) << at;
+  EXPECT_EQ(bits_of(a.wns_before), bits_of(b.wns_before)) << at;
+  EXPECT_EQ(bits_of(a.wns_after), bits_of(b.wns_after)) << at;
+  ASSERT_EQ(a.chip_wide_wns.has_value(), b.chip_wide_wns.has_value()) << at;
+  if (a.chip_wide_wns.has_value()) {
+    EXPECT_EQ(bits_of(*a.chip_wide_wns), bits_of(*b.chip_wide_wns)) << at;
+  }
+}
+
+// Every outcome field, chip_wide_wns included, against a walk through the
+// public per-level calls on a second controller: set_level(k) +
+// chip_factors + analyze per level, then set_chip_wide + chip_factors +
+// analyze.  The engine must end at the walk's last bases.
+TEST_F(CliffCompensateFixture, MatchesPublicWalkForEveryFlagCombination) {
+  const IslandPlan& plan = flow_->island_plan();
+  const int max_k = plan.num_islands();
+  int escalated = 0, chip_wide_met = 0, chip_wide_failed = 0, memo_hits = 0;
+  for (const VariationModel* model : models_) {
+    StaEngine eng(flow_->sta()), ref_eng(flow_->sta());
+    CompensationController ctrl = controller(eng, *model);
+    CompensationController ref = controller(ref_eng, *model);
+    Rng rng(0xc11f);
+    for (int c = 0; c < 16; ++c) {
+      const VirtualChip die = chip(*model, c, rng);
+      for (const bool allow_escalation : {true, false}) {
+        for (const bool allow_chip_wide : {true, false}) {
+          const std::string at =
+              "sigma " + std::to_string(model->config().three_sigma_random_frac) +
+              " chip " + std::to_string(c) + " esc " +
+              std::to_string(allow_escalation) + " cw " +
+              std::to_string(allow_chip_wide);
+          const CompensationOutcome out =
+              ctrl.compensate(die, allow_escalation, allow_chip_wide);
+
+          CompensationOutcome want;
+          ref.set_level(0);
+          const StaResult truth0 = ref_eng.analyze(ref.chip_factors(die));
+          want.wns_before = truth0.wns;
+          want.sensor_stage_flags =
+              sensor_flags(ref_eng, flow_->razor_plan(), truth0);
+          for (PipeStage s :
+               {PipeStage::Decode, PipeStage::Execute, PipeStage::WriteBack}) {
+            want.detected_severity +=
+                want.sensor_stage_flags[static_cast<std::size_t>(s)] ? 1 : 0;
+          }
+          for (std::size_t k = 0; k < ref_eng.endpoints().size(); ++k) {
+            const double slack = truth0.endpoint_slack[k];
+            want.missed_violation =
+                want.missed_violation ||
+                (std::isfinite(slack) && slack < 0.0 &&
+                 !want.sensor_stage_flags[static_cast<std::size_t>(
+                     ref_eng.endpoints()[k].stage)]);
+          }
+          int k = want.detected_severity;
+          for (;; ++k) {
+            ref.set_level(k);
+            want.wns_after = ref_eng.analyze(ref.chip_factors(die)).wns;
+            if (want.wns_after >= 0.0 || !allow_escalation || k >= max_k) {
+              break;
+            }
+          }
+          want.islands_raised = k;
+          want.timing_met = want.wns_after >= 0.0;
+          want.escalated = k > want.detected_severity;
+          if (!want.timing_met && allow_chip_wide) {
+            ref.set_chip_wide();
+            want.chip_wide_wns = ref_eng.analyze(ref.chip_factors(die)).wns;
+          }
+          expect_same_outcome(out, want, at);
+          const auto got = eng.snapshot_bases();
+          const auto ref_bases = ref_eng.snapshot_bases();
+          EXPECT_EQ(got.edge_base, ref_bases.edge_base) << at;
+          EXPECT_EQ(got.launch_base, ref_bases.launch_base) << at;
+          EXPECT_EQ(got.inst_corner, ref_bases.inst_corner) << at;
+
+          escalated += out.escalated ? 1 : 0;
+          if (out.chip_wide_wns.has_value()) {
+            (*out.chip_wide_wns >= 0.0 ? chip_wide_met : chip_wide_failed) += 1;
+            // Escalated to the last island: chip-wide is the same supply
+            // state here, so its verdict came from the memo.
+            memo_hits += out.islands_raised == max_k ? 1 : 0;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(escalated, 0);
+  EXPECT_GT(chip_wide_met, 0);
+  EXPECT_GT(chip_wide_failed, 0);
+  EXPECT_GT(memo_hits, 0);
+}
+
+// The per-die memos are scoped to one compensate() call: one controller
+// reused across dies and re-pointed across models must give the bits of
+// a fresh controller per die.  Each die is evaluated under every model
+// in turn, so a factor or WNS carried over from the previous call (same
+// gate lengths, other model) would show.
+TEST_F(CliffCompensateFixture, ReusedControllerMatchesFreshPerDie) {
+  StaEngine eng(flow_->sta());
+  CompensationController reused = controller(eng, *models_.front());
+  Rng rng(0x5eed);
+  for (int c = 0; c < 8; ++c) {
+    const VirtualChip die = chip(*models_.back(), c, rng);
+    for (const VariationModel* model : models_) {
+      reused.set_model(*model);
+      const CompensationOutcome got = reused.compensate(die, true, true);
+      StaEngine fresh_eng(flow_->sta());
+      CompensationController fresh = controller(fresh_eng, *model);
+      expect_same_outcome(
+          got, fresh.compensate(die, true, true),
+          "chip " + std::to_string(c) + " sigma " +
+              std::to_string(model->config().three_sigma_random_frac));
+    }
+  }
+}
+
+// Interning: two levels share a canonical slot exactly when their
+// snapshots are bitwise identical.  On the cliff flow that is levels 2,
+// 3 and chip-wide; on the default flow every state is distinct.  Shared
+// storage still restores each level's own compute_base bits, in a
+// visiting order that interns the chip-wide fill first.
+TEST_F(CliffCompensateFixture, InternsIdenticalLevelsOnly) {
+  const int max_k = flow_->island_plan().num_islands();
+  ASSERT_EQ(max_k, 3);
+  StaEngine eng(flow_->sta()), ref_eng(flow_->sta());
+  CompensationController ctrl = controller(eng, *models_.front());
+  for (int k = max_k + 1; k >= 0; --k) {
+    if (k == max_k + 1) {
+      ctrl.set_chip_wide();
+      ref_eng.compute_base(
+          std::vector<int>(static_cast<std::size_t>(max_k) + 1, kVddHigh));
+    } else {
+      ctrl.set_level(k);
+      ref_eng.compute_base(flow_->island_plan().corners_for_severity(k));
+    }
+    const auto got = eng.snapshot_bases();
+    const auto want = ref_eng.snapshot_bases();
+    EXPECT_EQ(got.edge_base, want.edge_base) << "level " << k;
+    EXPECT_EQ(got.launch_base, want.launch_base) << "level " << k;
+    EXPECT_EQ(got.inst_corner, want.inst_corner) << "level " << k;
+  }
+  EXPECT_EQ(ctrl.canonical_level(2), ctrl.canonical_level(3));
+  EXPECT_EQ(ctrl.canonical_level(3), ctrl.canonical_level(max_k + 1));
+  const std::set<int> cliff_slots = {ctrl.canonical_level(0),
+                                     ctrl.canonical_level(1),
+                                     ctrl.canonical_level(2)};
+  EXPECT_EQ(cliff_slots.size(), 3u);
+
+  Flow nominal(flow_config(FlowConfig{}.clock_margin));
+  nominal.plan_sensors();
+  StaEngine nominal_eng(nominal.sta());
+  CompensationController nominal_ctrl(nominal.design(), nominal_eng,
+                                      nominal.variation(), nominal.island_plan(),
+                                      nominal.razor_plan());
+  const int nominal_k = nominal.island_plan().num_islands();
+  std::set<int> slots;
+  for (int k = 0; k <= nominal_k + 1; ++k) {
+    slots.insert(nominal_ctrl.canonical_level(k));
+  }
+  EXPECT_EQ(slots.size(), static_cast<std::size_t>(nominal_k) + 2);
 }
 
 TEST(RazorUnit, ThresholdFiltersSensors) {

@@ -46,8 +46,10 @@ TEST(SimdDispatch, AvailableArchsSaneAndSettable) {
     EXPECT_EQ(&simd::active_kernels(), simd::kernels_for(a));
   }
   simd::reset_arch();
-  // The autodetected default is itself one of the available targets.
+  // The autodetected default is itself one of the available targets, and
+  // the cached table follows the reset.
   EXPECT_TRUE(simd::arch_available(simd::active_arch()));
+  EXPECT_EQ(&simd::active_kernels(), simd::kernels_for(simd::active_arch()));
   EXPECT_FALSE(simd::cpu_features().empty());
   EXPECT_STREQ(simd::arch_name(simd::Arch::Scalar), "scalar");
 }
@@ -61,6 +63,7 @@ TEST(SimdDispatch, UnavailableArchRejectedWithoutStateChange) {
     EXPECT_EQ(simd::kernels_for(a), nullptr);
     EXPECT_FALSE(simd::set_arch(a));
     EXPECT_EQ(simd::active_arch(), before);
+    EXPECT_EQ(&simd::active_kernels(), simd::kernels_for(before));
   }
 }
 

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -119,6 +121,45 @@ TEST_F(ModelTest, HighVddLessSensitiveToLgate) {
   const double slow_low = model_.delay_factor(cp_.lgate_nom * 1.05, kVddLow);
   const double slow_high = model_.delay_factor(cp_.lgate_nom * 1.05, kVddHigh);
   EXPECT_LT(slow_high, slow_low);
+}
+
+// raw_delay is raw_delay_terms over its Lgate-only terms, and the
+// per-die compensation path feeds stored terms back in: both must give
+// the bits of the expression raw_delay evaluated before the split, for
+// every corner and Vth class over a +/-20 % Lgate sweep around nominal.
+TEST_F(ModelTest, LgateTermsReproduceRawDelayAndDelayFactorBitwise) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  const auto reference_raw = [&](double l, double vdd, double vth0) {
+    const double vth = vth0 - vdd * std::exp(-cp_.alpha_dibl * l);
+    return std::pow(l, 1.5) * vdd / std::pow(vdd - vth, cp_.alpha);
+  };
+  const double lo = cp_.lgate_nom * 0.8, hi = cp_.lgate_nom * 1.2;
+  constexpr int kSteps = 2001;
+  for (int s = 0; s < kSteps; ++s) {
+    const double l = lo + (hi - lo) * s / (kSteps - 1);
+    const CharParams::LgateTerms t = cp_.lgate_terms(l);
+    for (const int corner : {kVddLow, kVddHigh}) {
+      const double vdd = model_.vdd_of_corner(corner);
+      for (int v = 0; v < kNumVthClasses; ++v) {
+        const auto vth = static_cast<VthClass>(v);
+        const double vth0 = cp_.vth0_of(vth);
+        const double raw = reference_raw(l, vdd, vth0);
+        ASSERT_EQ(bits(cp_.raw_delay(l, vdd, vth0)), bits(raw))
+            << "lgate " << l << " corner " << corner << " vth " << v;
+        ASSERT_EQ(bits(cp_.raw_delay_terms(t.lgate_15, t.dibl, vdd, vth0)),
+                  bits(raw))
+            << "lgate " << l << " corner " << corner << " vth " << v;
+        const double factor =
+            raw / reference_raw(cp_.lgate_nom, vdd, vth0);
+        ASSERT_EQ(bits(model_.delay_factor(l, corner, vth)), bits(factor))
+            << "lgate " << l << " corner " << corner << " vth " << v;
+        ASSERT_EQ(bits(model_.delay_factor_terms(t.lgate_15, t.dibl, corner,
+                                                 vth)),
+                  bits(factor))
+            << "lgate " << l << " corner " << corner << " vth " << v;
+      }
+    }
+  }
 }
 
 TEST_F(ModelTest, WorstCoreLocationIsSlowest) {
