@@ -1,161 +1,38 @@
-// Monte-Carlo SSTA throughput: the per-die hot loop as a batch workload.
-// One die's MC run is the inner loop of every die of the wafer-scale
-// yield subsystem, so its samples/sec is the throughput ceiling of the
-// whole repo.  Measures:
+// Adaptive sequential sampling vs the fixed budget (DESIGN.md §14,
+// EXPERIMENTS.md E11).  The CI target is fixed a priori off a Scalar
+// reference run's stage fits: pin every stage's sigma to +/-15 % and its
+// mean to +/-40 % of the worst stage sigma, at 95 % — a precision the
+// fixed budget comfortably overshoots, so a correct sequential rule
+// stops well short of it.  Prints the fixed-vs-adaptive table and the
+// convergence history.  The prefix-equivalence contract (the adaptive
+// run stopping at N is bit-identical to a fixed run with samples = N,
+// serial and pooled) is gated in tests/test_variation.cpp.
 //
-//   1. scalar-serial baseline — batch width 1 (the pre-batching
-//      per-sample analyze() kernel), no pool;
-//   2. the batched SoA kernel alone — widths 4/8/16/32, still serial;
-//   3. batched + parallel sampling — thread pools up to the machine's
-//      hardware_concurrency(); oversubscribed points (more threads than
-//      cores) are still run for the determinism cross-check but recorded
-//      under separate oversub_* keys and never reported as speedups;
-//   4. the propagation kernel in isolation (pre-drawn factors, analyze
-//      vs analyze_batch);
-//   5. the Batched draw profile end-to-end (bulk Box-Muller normals +
-//      delay-factor tables writing the SoA directly) across widths and
-//      thread counts — bit-identical WITHIN the profile by contract;
-//   6. the factor draw in isolation, scalar vs batched, against the
-//      propagation cost — the batched engine exists to stop the draw
-//      from dominating propagation;
-//   7. the propagation kernel per SIMD dispatch target (DESIGN.md §17):
-//      the dispatcher pinned to every compiled ISA in turn, each one
-//      bit-compared against scalar analyze() and timed per lane;
-//   8. the BatchedSimd stream across dispatch targets: the arch-
-//      invariant draw byte-compared per target, pinned full runs
-//      fingerprint-compared, plus the profile's width/thread invariance;
-//   9. end-to-end time attribution of one batched sample into
-//      draw / propagation / tally phases, gated to sum to the wall
-//      clock within 5 % — the measurement that explains why
-//      batchN_speedup_e2e sits near 1.0 while the isolated kernel wins;
-//  10. statistical cross-profile gates: the profiles use different
-//      (equally valid) random streams, so their stage-slack fits must
-//      agree to sampling error — disagreement beyond ~8 standard errors
-//      means one of the engines is wrong;
-//  11. adaptive sequential sampling vs the fixed budget at an equal
-//      a-priori CI target: sample savings (soft), plus the hard
-//      prefix-equivalence gate — the adaptive run stopping at N must be
-//      bit-identical to a fixed run with samples = N, serial and pooled.
-//
-// Scalar-profile configurations must reproduce the scalar-serial
-// reference bit-for-bit; Batched-profile configurations must reproduce
-// the batched reference bit-for-bit; every SIMD dispatch target must
-// reproduce the scalar propagation bits and the one BatchedSimd stream.
-// Any mismatch — or a statistical disagreement between the profiles —
-// is a hard failure; CI runs this binary as the smoke check.  Emits
-// BENCH_mc.json for trajectory tracking across PRs.
-//
-// Options: --samples N (default 1536), --out PATH (default: repo root).
+// Options: --samples N (reference-run budget, default 1536).
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <cstring>
-#include <sstream>
-#include <thread>
+#include <string>
 
 #include "netlist/vex.hpp"
 #include "placement/placer.hpp"
-#include "util/aligned.hpp"
-#include "util/parallel.hpp"
-#include "util/simd/dispatch.hpp"
 #include "util/table.hpp"
 #include "variation/mc_ssta.hpp"
 #include "variation/model.hpp"
 
 #include "common.hpp"
 
-namespace {
-
-using namespace vipvt;
-
-/// Byte-exact fingerprint of everything a McResult carries; %.17g round-
-/// trips doubles, so equal strings <=> bit-identical results.
-std::string fingerprint(const McResult& r) {
-  std::ostringstream os;
-  char buf[32];
-  const auto num = [&](double v) {
-    std::snprintf(buf, sizeof buf, "%.17g,", v);
-    os << buf;
-  };
-  os << r.samples << ';';
-  for (const auto& sd : r.stages) {
-    os << sd.present << ':';
-    num(sd.fit.mean);
-    num(sd.fit.stddev);
-    num(sd.fit.p_value);
-    num(sd.min_slack);
-    num(sd.max_slack);
-    for (double s : sd.samples) num(s);
-    os << ';';
-  }
-  for (double p : r.endpoint_crit_prob) num(p);
-  os << ';';
-  for (auto c : r.endpoint_stage_crit) os << c << ',';
-  os << ';';
-  for (double t : r.min_period_samples) num(t);
-  return os.str();
-}
-
-/// Scalar-vs-batched statistical gate.  The profiles draw from different
-/// streams, so per-sample bits differ by design; the stage-slack normal
-/// fits, however, estimate the SAME population.  With n samples each,
-/// the difference of two independent mean estimates has standard error
-/// sigma*sqrt(2/n) and the log of the stddev ratio has standard error
-/// ~1/sqrt(n-1); 8 standard errors is far beyond noise while still
-/// catching a broken table (systematic factor bias) or a broken normal
-/// generator (wrong variance) immediately.
-bool stages_statistically_agree(const char* label, const McResult& scalar,
-                                const McResult& batched, int n) {
-  bool ok = true;
-  std::printf("%s stage fits (n=%d per profile):\n", label, n);
-  for (int s = 0; s < kNumPipeStages; ++s) {
-    const StageSlackDist& a = scalar.stages[static_cast<std::size_t>(s)];
-    const StageSlackDist& b = batched.stages[static_cast<std::size_t>(s)];
-    if (a.present != b.present) {
-      std::printf("  %-10s PRESENT-MISMATCH\n",
-                  stage_name(static_cast<PipeStage>(s)));
-      ok = false;
-      continue;
-    }
-    if (!a.present) continue;
-    const double sigma = std::max(a.fit.stddev, b.fit.stddev);
-    const double mean_tol =
-        8.0 * std::max(sigma * std::sqrt(2.0 / n), 1e-12);
-    const double dmean = std::abs(a.fit.mean - b.fit.mean);
-    bool stage_ok = dmean <= mean_tol;
-    double log_ratio = 0.0;
-    const double sd_tol = 8.0 / std::sqrt(std::max(n - 1, 1));
-    if (a.fit.stddev > 0.0 && b.fit.stddev > 0.0) {
-      log_ratio = std::abs(std::log(b.fit.stddev / a.fit.stddev));
-      stage_ok &= log_ratio <= sd_tol;
-    } else {
-      stage_ok &= a.fit.stddev == b.fit.stddev;  // both degenerate
-    }
-    std::printf("  %-10s dmean %.2e (tol %.2e)  |log sd ratio| %.3f "
-                "(tol %.3f)  %s\n",
-                stage_name(static_cast<PipeStage>(s)), dmean, mean_tol,
-                log_ratio, sd_tol, stage_ok ? "ok" : "DISAGREE");
-    ok &= stage_ok;
-  }
-  std::printf("\n");
-  return ok;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  using namespace vipvt;
   using clock = std::chrono::steady_clock;
-  bench::print_header("MC SSTA", "per-die Monte-Carlo throughput, "
-                                 "scalar vs batched vs parallel");
+  bench::print_header("MC SSTA", "adaptive sequential sampling vs the fixed "
+                                 "budget");
 
   const int samples = bench::arg_int(argc, argv, "--samples", 1536);
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
 
-  // The same tiny-core recipe as bench/wafer_yield: the workload SHAPE
-  // (per-sample factor draw + full-graph propagation) matches the full
-  // VEX; only the graph is smaller.
+  // Tiny core: the workload SHAPE (per-sample factor draw + full-graph
+  // propagation) matches the full VEX; only the graph is smaller.
   Library lib = make_st65lp_like();
   Design design = make_vex_design(lib, VexConfig::tiny());
   Floorplan fp = Floorplan::for_design(design, FloorplanConfig{});
@@ -167,670 +44,59 @@ int main(int argc, char** argv) {
   const VariationModel model(lib.char_params(), field);
   const MonteCarloSsta mc(design, sta, model);
   const DieLocation loc = DieLocation::point('A');
-  std::printf("# design: %zu instances, %zu timing edges, %d samples, "
-              "%u hardware thread(s)\n\n",
-              design.num_instances(), sta.num_edges(), samples, hw);
+  std::printf("# design: %zu instances, %zu timing edges, %d reference "
+              "samples\n\n",
+              design.num_instances(), sta.num_edges(), samples);
 
   McConfig base;
   base.samples = samples;
   base.seed = 0x5ca1ab1eULL;
-
-  const auto run = [&](DrawProfile profile, int batch, ThreadPool* pool) {
-    McConfig cfg = base;
-    cfg.profile = profile;
-    cfg.batch = batch;
-    const auto t0 = clock::now();
-    McResult res = mc.run(loc, cfg, pool);
-    const std::chrono::duration<double> dt = clock::now() - t0;
-    return std::pair{std::move(res), dt.count()};
-  };
-
-  bench::BenchJson out("mc_ssta");
-  out.set("samples", samples);
-  out.set("hardware_threads", hw);
-  // Numeric twin of the top-level dispatch_arch provenance string
-  // (0 scalar, 1 sse2, 2 avx2, 3 avx512) so trajectory tooling that only
-  // reads metrics still sees which ISA produced the kernel rows.
-  out.set("dispatch_arch_level",
-          static_cast<double>(static_cast<int>(simd::active_arch())));
-  Table t({"config", "wall [s]", "samples/sec", "speedup", "identical"});
-  bool all_identical = true;
-
-  // 1. Scalar-serial reference.
-  auto [scalar_ref, scalar_s] = run(DrawProfile::Scalar, 1, nullptr);
-  const std::string reference = fingerprint(scalar_ref);
-  const double scalar_sps = samples / scalar_s;
-  t.add_row({"scalar serial", Table::num(scalar_s, 3),
-             Table::num(scalar_sps, 0), Table::num(1.0, 2), "ref"});
-  out.set("scalar_serial_s", scalar_s);
-  out.set("scalar_samples_per_sec", scalar_sps);
-
-  // 2. Batched end-to-end, still serial: modest by design — the factor
-  // draw (RNG + device-physics transcendentals per gate) dominates a
-  // sample under the Scalar profile and is identical in both paths;
-  // sections 4-6 isolate the kernels and section 5 measures the Batched
-  // profile that removes the draw bottleneck.
-  for (int batch : {4, 8, 16, 32}) {
-    auto [res_b, secs] = run(DrawProfile::Scalar, batch, nullptr);
-    const bool same = fingerprint(res_b) == reference;
-    all_identical &= same;
-    const double speedup = scalar_s / secs;
-    char label[32];
-    std::snprintf(label, sizeof label, "batch %d serial", batch);
-    t.add_row({label, Table::num(secs, 3), Table::num(samples / secs, 0),
-               Table::num(speedup, 2), same ? "yes" : "NO (BUG)"});
-    char key[48];
-    std::snprintf(key, sizeof key, "batch%d_samples_per_sec", batch);
-    out.set(key, samples / secs);
-    std::snprintf(key, sizeof key, "batch%d_speedup_e2e", batch);
-    out.set(key, speedup);
+  const McResult scalar_ref = mc.run(loc, base);
+  double sigma_max = 0.0;
+  for (const auto& sd : scalar_ref.stages) {
+    if (sd.present) sigma_max = std::max(sigma_max, sd.fit.stddev);
   }
 
-  // 3. Batched + parallel sampling.  Thread counts beyond the machine's
-  // hardware concurrency measure scheduler thrash, not scaling: those
-  // points still run (the determinism contract must hold at ANY thread
-  // count) but are recorded under oversub_* keys, excluded from the
-  // speedup columns, and never gate anything.
-  double speedup_hw = 0.0;
-  unsigned speedup_hw_threads = 0;
-  for (unsigned threads : {1u, 2u, 4u, 8u}) {
-    const bool oversub = threads > hw;
-    ThreadPool pool(threads);
-    auto [res_t, secs] = run(DrawProfile::Scalar, 8, &pool);
-    const bool same = fingerprint(res_t) == reference;
-    all_identical &= same;
-    const double speedup = scalar_s / secs;
-    if (!oversub && threads >= speedup_hw_threads) {
-      speedup_hw = speedup;
-      speedup_hw_threads = threads;
-    }
-    char label[48];
-    std::snprintf(label, sizeof label, "batch 8, %u thread%s%s", threads,
-                  threads == 1 ? "" : "s", oversub ? " (oversub)" : "");
-    t.add_row({label, Table::num(secs, 3), Table::num(samples / secs, 0),
-               oversub ? "-" : Table::num(speedup, 2),
-               same ? "yes" : "NO (BUG)"});
-    char key[48];
-    if (oversub) {
-      std::snprintf(key, sizeof key, "oversub_t%u_samples_per_sec", threads);
-      out.set(key, samples / secs);
-    } else {
-      std::snprintf(key, sizeof key, "samples_per_sec_t%u", threads);
-      out.set(key, samples / secs);
-      std::snprintf(key, sizeof key, "speedup_t%u", threads);
-      out.set(key, speedup);
-    }
-  }
-  std::printf("%s\n", t.render().c_str());
+  const int fixed_budget = std::min(samples, 500);
+  McConfig acfg = base;
+  acfg.adaptive.enabled = true;
+  acfg.adaptive.min_samples = 32;
+  acfg.adaptive.max_samples = fixed_budget;
+  acfg.adaptive.check_every_batches = 2;
+  acfg.adaptive.sigma_half_width_ns = 0.15 * sigma_max;
+  acfg.adaptive.mean_half_width_ns = 0.40 * sigma_max;
 
-  // 4. The propagation kernel in isolation: pre-draw the factor sets,
-  // then time analyze() lane-by-lane vs analyze_batch() over the same
-  // lanes, verifying every lane's StaResult is bit-identical.
-  const int kernel_lanes = std::min(samples, 1024) / 8 * 8;
-  const auto systematic = model.systematic_lgates(design, loc);
-  const auto stencils = model.field_stencils(design);
-  std::vector<std::vector<double>> factor_sets(
-      static_cast<std::size_t>(kernel_lanes));
-  for (int k = 0; k < kernel_lanes; ++k) {
-    Rng rng(substream_seed(base.seed, static_cast<std::uint64_t>(k)));
-    model.draw_factors(design, sta, systematic, rng,
-                       factor_sets[static_cast<std::size_t>(k)]);
-  }
-  std::vector<StaResult> scalar_res(static_cast<std::size_t>(kernel_lanes));
   auto t0 = clock::now();
-  for (int k = 0; k < kernel_lanes; ++k) {
-    scalar_res[static_cast<std::size_t>(k)] =
-        sta.analyze(factor_sets[static_cast<std::size_t>(k)]);
-  }
-  const std::chrono::duration<double> kern_scalar_s = clock::now() - t0;
-  std::vector<StaResult> batch_res(8);
-  bool kernel_identical = true;
+  const McResult adaptive = mc.run(loc, acfg);
+  const std::chrono::duration<double> adaptive_s = clock::now() - t0;
+
+  McConfig fcfg = base;
+  fcfg.samples = fixed_budget;
   t0 = clock::now();
-  for (int k = 0; k < kernel_lanes; k += 8) {
-    sta.analyze_batch(
-        std::span(factor_sets).subspan(static_cast<std::size_t>(k), 8),
-        std::span(batch_res));
-    for (int l = 0; l < 8; ++l) {
-      const StaResult& a = scalar_res[static_cast<std::size_t>(k + l)];
-      const StaResult& b = batch_res[static_cast<std::size_t>(l)];
-      kernel_identical &= a.wns == b.wns && a.tns == b.tns &&
-                          a.min_period_ns == b.min_period_ns &&
-                          a.stage_wns == b.stage_wns &&
-                          a.endpoint_slack == b.endpoint_slack;
-    }
-  }
-  const std::chrono::duration<double> kern_batch_s = clock::now() - t0;
-  all_identical &= kernel_identical;
-  const double kernel_speedup = kern_scalar_s.count() / kern_batch_s.count();
-  const double prop_us_per_lane = kern_batch_s.count() / kernel_lanes * 1e6;
-  std::printf("propagation kernel alone (%d lanes): scalar %.2f us/lane, "
-              "batch-8 %.2f us/lane -> %.2fx, %s\n\n", kernel_lanes,
-              kern_scalar_s.count() / kernel_lanes * 1e6, prop_us_per_lane,
-              kernel_speedup,
-              kernel_identical ? "bit-identical" : "MISMATCH (BUG)");
-  out.set("kernel_lanes", kernel_lanes);
-  out.set("kernel_scalar_us_per_lane",
-          kern_scalar_s.count() / kernel_lanes * 1e6);
-  out.set("kernel_batch8_us_per_lane", prop_us_per_lane);
-  out.set("kernel_speedup_b8", kernel_speedup);
+  (void)mc.run(loc, fcfg);
+  const std::chrono::duration<double> fixed_s = clock::now() - t0;
 
-  // 5. The Batched draw profile end-to-end: bulk normals + delay-factor
-  // tables write the propagation kernel's SoA directly.  Within the
-  // profile the McResult is bit-identical for any width and any thread
-  // count (a versioned contract, checked here the same way the Scalar
-  // profile is checked against the seed path above).
-  Table bt({"config", "wall [s]", "samples/sec", "vs scalar", "identical"});
-  auto [batched_ref, batched_ref_s] = run(DrawProfile::Batched, 8, nullptr);
-  const std::string batched_reference = fingerprint(batched_ref);
-  bool batched_identical = true;
-  double batched_best_serial_sps = samples / batched_ref_s;
-  bt.add_row({"batched w8 serial", Table::num(batched_ref_s, 3),
-              Table::num(samples / batched_ref_s, 0),
-              Table::num(scalar_s / batched_ref_s, 2), "ref"});
-  for (int batch : {4, 16, 32}) {
-    auto [res_b, secs] = run(DrawProfile::Batched, batch, nullptr);
-    const bool same = fingerprint(res_b) == batched_reference;
-    batched_identical &= same;
-    batched_best_serial_sps = std::max(batched_best_serial_sps, samples / secs);
-    char label[32];
-    std::snprintf(label, sizeof label, "batched w%d serial", batch);
-    bt.add_row({label, Table::num(secs, 3), Table::num(samples / secs, 0),
-                Table::num(scalar_s / secs, 2), same ? "yes" : "NO (BUG)"});
+  const double savings =
+      1.0 - static_cast<double>(adaptive.samples) / fixed_budget;
+  Table at({"run", "samples", "wall [s]", "stop"});
+  at.add_row({"fixed budget", std::to_string(fixed_budget),
+              Table::num(fixed_s.count(), 3), "fixed-budget"});
+  at.add_row({"adaptive", std::to_string(adaptive.samples),
+              Table::num(adaptive_s.count(), 3),
+              mc_stop_name(adaptive.stopping_reason)});
+  std::printf("adaptive sampling (sigma hw <= %.4g ns, mean hw <= %.4g ns "
+              "at 95 %%):\n%s",
+              acfg.adaptive.sigma_half_width_ns,
+              acfg.adaptive.mean_half_width_ns, at.render().c_str());
+  std::printf("convergence:");
+  for (const McRound& r : adaptive.convergence) {
+    std::printf(" %d:%.4f/%.4f", r.samples, r.worst_mean_half_width_ns,
+                r.worst_sigma_half_width_ns);
   }
-  for (unsigned threads : {2u, 4u, 8u}) {
-    const bool oversub = threads > hw;
-    ThreadPool pool(threads);
-    auto [res_t, secs] = run(DrawProfile::Batched, 8, &pool);
-    const bool same = fingerprint(res_t) == batched_reference;
-    batched_identical &= same;
-    char label[48];
-    std::snprintf(label, sizeof label, "batched w8, %u threads%s", threads,
-                  oversub ? " (oversub)" : "");
-    bt.add_row({label, Table::num(secs, 3), Table::num(samples / secs, 0),
-                oversub ? "-" : Table::num(scalar_s / secs, 2),
-                same ? "yes" : "NO (BUG)"});
-    char key[56];
-    std::snprintf(key, sizeof key,
-                  oversub ? "batched_oversub_t%u_samples_per_sec"
-                          : "batched_samples_per_sec_t%u",
-                  threads);
-    out.set(key, samples / secs);
-  }
-  std::printf("%s\n", bt.render().c_str());
-  const double batched_speedup = batched_best_serial_sps / scalar_sps;
-  out.set("batched_profile_samples_per_sec", batched_best_serial_sps);
-  out.set("batched_profile_speedup_vs_scalar", batched_speedup);
-
-  // 6. The draw in isolation: the batched engine's whole point is that
-  // factor generation stops dominating propagation.  Time the scalar
-  // draw (per-gate polar normals + exact pow quotient) against
-  // draw_factors_batch (bulk Box-Muller + table lookup) and compare both
-  // to the batch-8 propagation cost per lane.
-  double draw_scalar_us = 0.0, draw_batch_us = 0.0;
-  {
-    const int draw_lanes = kernel_lanes;
-    std::vector<double> scratch_factors;
-    t0 = clock::now();
-    for (int k = 0; k < draw_lanes; ++k) {
-      Rng rng(substream_seed(base.seed, static_cast<std::uint64_t>(k)));
-      model.draw_factors(design, sta, systematic, stencils, rng,
-                         scratch_factors);
-    }
-    const std::chrono::duration<double> draw_scalar_s = clock::now() - t0;
-    VariationModel::DrawScratch scratch;
-    std::vector<double> factor_soa(design.num_instances() * 8);
-    t0 = clock::now();
-    for (int k = 0; k < draw_lanes; k += 8) {
-      model.draw_factors_batch(design, sta, systematic, stencils, base.seed,
-                               static_cast<std::uint64_t>(k), 8,
-                               std::span(factor_soa), scratch);
-    }
-    const std::chrono::duration<double> draw_batch_s = clock::now() - t0;
-    draw_scalar_us = draw_scalar_s.count() / draw_lanes * 1e6;
-    draw_batch_us = draw_batch_s.count() / draw_lanes * 1e6;
-    const double ratio_scalar = draw_scalar_us / prop_us_per_lane;
-    const double ratio_batched = draw_batch_us / prop_us_per_lane;
-    std::printf("factor draw alone (%d lanes): scalar %.2f us/sample "
-                "(%.1fx propagation), batched %.2f us/sample "
-                "(%.1fx propagation), draw speedup %.2fx\n",
-                draw_lanes, draw_scalar_us, ratio_scalar, draw_batch_us,
-                ratio_batched, draw_scalar_us / draw_batch_us);
-    out.set("draw_scalar_us_per_sample", draw_scalar_us);
-    out.set("draw_batched_us_per_sample", draw_batch_us);
-    out.set("draw_speedup_batched", draw_scalar_us / draw_batch_us);
-    out.set("draw_over_prop_scalar", ratio_scalar);
-    out.set("draw_over_prop_batched", ratio_batched);
-    if (ratio_batched > 3.0) {
-      std::printf("WARNING: batched draw still dominates propagation "
-                  "%.1fx > 3x\n", ratio_batched);
-    }
-    std::printf("\n");
-  }
-
-  // 7. The propagation kernel per dispatch target (DESIGN.md §17).  Pin
-  // the dispatcher to every ISA this build compiled, re-run the batch-8
-  // isolation loop over the SAME pre-drawn factor sets, and demand every
-  // lane's StaResult equal the scalar analyze() reference bit-for-bit —
-  // the per-lane bit-identity contract enforced in-process across ALL
-  // dispatch targets, not just the autodetected one the rows above used.
-  // Per-target us/lane rows land in BENCH_mc.json so each width's
-  // trajectory is tracked separately.
-  bool isa_identical = true;
-  const std::vector<simd::Arch> archs = simd::available_archs();
-  {
-    Table it({"dispatch", "us/lane", "vs analyze()", "identical"});
-    double sse2_us = 0.0, avx2_us = 0.0;
-    for (const simd::Arch a : archs) {
-      if (!simd::set_arch(a)) continue;  // compiled targets are settable
-      std::vector<StaResult> res(8);
-      bool same = true;
-      const auto ta = clock::now();
-      for (int k = 0; k < kernel_lanes; k += 8) {
-        sta.analyze_batch(
-            std::span(factor_sets).subspan(static_cast<std::size_t>(k), 8),
-            std::span(res));
-        for (int l = 0; l < 8; ++l) {
-          const StaResult& sr = scalar_res[static_cast<std::size_t>(k + l)];
-          const StaResult& br = res[static_cast<std::size_t>(l)];
-          same &= sr.wns == br.wns && sr.tns == br.tns &&
-                  sr.min_period_ns == br.min_period_ns &&
-                  sr.stage_wns == br.stage_wns &&
-                  sr.endpoint_slack == br.endpoint_slack;
-        }
-      }
-      const std::chrono::duration<double> isa_s = clock::now() - ta;
-      const double us = isa_s.count() / kernel_lanes * 1e6;
-      if (a == simd::Arch::Sse2) sse2_us = us;
-      if (a == simd::Arch::Avx2) avx2_us = us;
-      isa_identical &= same;
-      it.add_row({simd::arch_name(a), Table::num(us, 2),
-                  Table::num(kern_scalar_s.count() / isa_s.count(), 2),
-                  same ? "yes" : "NO (BUG)"});
-      // "kernel_scalar_us_per_lane" is section 4's analyze() baseline;
-      // the dispatched W=1 kernel gets its own kernel_w1 row.
-      char key[48];
-      std::snprintf(key, sizeof key, "kernel_%s_us_per_lane",
-                    a == simd::Arch::Scalar ? "w1" : simd::arch_name(a));
-      out.set(key, us);
-    }
-    simd::reset_arch();
-    std::printf("propagation kernel per dispatch target (%d lanes, batch 8, "
-                "bit-compared against scalar analyze(), %s):\n%s",
-                kernel_lanes,
-                isa_identical ? "all bit-identical" : "MISMATCH (BUG)",
-                it.render().c_str());
-    if (sse2_us > 0.0 && avx2_us > 0.0) {
-      const double wide_speedup = sse2_us / avx2_us;
-      out.set("kernel_avx2_speedup_vs_sse2", wide_speedup);
-      std::printf("avx2 vs sse2: %.2fx per lane\n", wide_speedup);
-      if (wide_speedup < 1.5) {
-        std::printf("WARNING: AVX2 kernel speedup %.2fx over SSE2 below the "
-                    "1.5x target\n", wide_speedup);
-      }
-    }
-    std::printf("\n");
-  }
-
-  // 8. The BatchedSimd stream across dispatch targets.  The SIMD layer's
-  // own Box-Muller (Rng::normals_simd -> v_log / v_sincos) must produce
-  // the SAME bytes on every target — that is the whole reason the
-  // profile is versioned (DESIGN.md §17).  Three gates, all hard:
-  //   a) draw isolation: draw_factors_batch(simd_normals = true) byte-
-  //      compared (memcmp) across every target;
-  //   b) a pinned Batched full run must still reproduce the batched
-  //      reference — the relax and table kernels are TRANSPARENT: they
-  //      dispatch by ISA yet never change bits in any profile;
-  //   c) pinned BatchedSimd full runs must fingerprint identically
-  //      across targets, plus the profile's own width/thread invariance.
-  bool simd_identical = true;
-  McResult simd_ref;
-  {
-    const int draw_lanes = kernel_lanes;
-    const std::size_t n_inst = design.num_instances();
-    VariationModel::DrawScratch scratch;
-    AlignedVec<double> factor_soa(n_inst * 8);
-    std::vector<double> ref_stream;  // first target's full draw stream
-    std::string simd_reference;
-    Table st({"dispatch", "draw us/sample", "draw bytes", "run fp"});
-    for (const simd::Arch a : archs) {
-      if (!simd::set_arch(a)) continue;
-      t0 = clock::now();
-      for (int k = 0; k < draw_lanes; k += 8) {
-        model.draw_factors_batch(design, sta, systematic, stencils, base.seed,
-                                 static_cast<std::uint64_t>(k), 8,
-                                 std::span(factor_soa), scratch, true);
-      }
-      const std::chrono::duration<double> dsimd_s = clock::now() - t0;
-      // Untimed verify pass: regenerate every batch and byte-compare the
-      // whole stream against the first target's capture.
-      bool bytes_same = true;
-      const bool first_target = ref_stream.empty();
-      for (int k = 0; k < draw_lanes; k += 8) {
-        model.draw_factors_batch(design, sta, systematic, stencils, base.seed,
-                                 static_cast<std::uint64_t>(k), 8,
-                                 std::span(factor_soa), scratch, true);
-        if (first_target) {
-          ref_stream.insert(ref_stream.end(), factor_soa.begin(),
-                            factor_soa.end());
-        } else {
-          bytes_same &=
-              std::memcmp(
-                  ref_stream.data() + static_cast<std::size_t>(k) * n_inst,
-                  factor_soa.data(), n_inst * 8 * sizeof(double)) == 0;
-        }
-      }
-      auto [simd_run, simd_run_s] = run(DrawProfile::BatchedSimd, 8, nullptr);
-      const std::string fp = fingerprint(simd_run);
-      bool fp_same = true;
-      if (simd_reference.empty()) {
-        simd_reference = fp;
-        simd_ref = std::move(simd_run);
-        (void)simd_run_s;
-      } else {
-        fp_same = fp == simd_reference;
-      }
-      auto [batched_again, batched_again_s] =
-          run(DrawProfile::Batched, 8, nullptr);
-      (void)batched_again_s;
-      const bool transparent = fingerprint(batched_again) == batched_reference;
-      simd_identical &= bytes_same && fp_same && transparent;
-      const double us = dsimd_s.count() / draw_lanes * 1e6;
-      char key[48];
-      std::snprintf(key, sizeof key, "draw_%s_us_per_sample",
-                    a == simd::Arch::Scalar ? "w1" : simd::arch_name(a));
-      out.set(key, us);
-      st.add_row({simd::arch_name(a), Table::num(us, 2),
-                  bytes_same ? (first_target ? "ref" : "identical")
-                             : "MISMATCH",
-                  !transparent
-                      ? "batched DIVERGED"
-                      : (fp_same ? (first_target ? "ref" : "identical")
-                                 : "MISMATCH")});
-    }
-    simd::reset_arch();
-    // Width/thread invariance of the BatchedSimd profile itself — the
-    // same contract Batched carries, checked the same way.  The unpinned
-    // batch-8 serial run doubles as the profile's throughput number: the
-    // pinned loop above starts with the scalar target, whose draw cost
-    // says nothing about what the autodetected dispatch delivers.
-    double simd_unpinned_s = 0.0;
-    {
-      auto [w8u, w8u_s] = run(DrawProfile::BatchedSimd, 8, nullptr);
-      simd_unpinned_s = w8u_s;
-      simd_identical &= fingerprint(w8u) == simd_reference;
-      auto [w16, w16_s] = run(DrawProfile::BatchedSimd, 16, nullptr);
-      (void)w16_s;
-      simd_identical &= fingerprint(w16) == simd_reference;
-      ThreadPool pool(std::min(4u, hw));
-      auto [pooled, pooled_s] = run(DrawProfile::BatchedSimd, 8, &pool);
-      (void)pooled_s;
-      simd_identical &= fingerprint(pooled) == simd_reference;
-    }
-    std::printf("BatchedSimd stream across dispatch targets (%d draw lanes; "
-                "one pinned full run per target):\n%s",
-                draw_lanes, st.render().c_str());
-    std::printf("BatchedSimd serial (batch 8, %s dispatch): %.0f samples/sec "
-                "(%.2fx scalar), %s\n\n",
-                simd::arch_name(simd::active_arch()), samples / simd_unpinned_s,
-                scalar_s / simd_unpinned_s,
-                simd_identical ? "arch/width/thread-invariant"
-                               : "INVARIANCE BROKEN (BUG)");
-    out.set("simd_profile_samples_per_sec", samples / simd_unpinned_s);
-    out.set("simd_profile_speedup_vs_scalar", scalar_s / simd_unpinned_s);
-  }
-
-  // 9. End-to-end time attribution of one batched sample.  Replicate the
-  // engine's Batched per-batch loop phase-by-phase — factor draw
-  // (draw_factors_batch), SoA propagation (analyze_batch_soa), tally
-  // reduce (the per-lane endpoint/stage bookkeeping) — with its own
-  // timers, and gate the three phases against the loop's wall clock:
-  // within 5 % or the attribution (and any conclusion drawn from it) is
-  // fiction.  This is the measurement that explains section 2: the
-  // isolated batch-8 kernel beats scalar propagation ~2x, yet
-  // batchN_speedup_e2e sits near 1.0 because under the SCALAR profile
-  // the per-gate draw (polar normals + pow) dominates wall time and is
-  // identical in both paths.  The Batched profile shrinks exactly that
-  // phase, which is where section 5's end-to-end speedup comes from.
-  bool attribution_ok = true;
-  double attribution_frac = 0.0;
-  {
-    const int att_samples = kernel_lanes;
-    const std::size_t n_inst = design.num_instances();
-    StaEngine eng(sta);
-    VariationModel::DrawScratch scratch;
-    AlignedVec<double> factor_soa(n_inst * 8);
-    std::vector<StaResult> results(8);
-    const auto& endpoints = sta.endpoints();
-    const std::size_t num_eps = endpoints.size();
-    std::vector<std::uint32_t> crit(num_eps, 0), stage_crit(num_eps, 0);
-    std::vector<std::array<double, kNumPipeStages>> stage_wns(
-        static_cast<std::size_t>(att_samples));
-    std::vector<double> min_period(static_cast<std::size_t>(att_samples));
-    double t_draw = 0.0, t_prop = 0.0, t_tally = 0.0;
-    const auto wall0 = clock::now();
-    for (int k = 0; k < att_samples; k += 8) {
-      const auto tp = clock::now();
-      model.draw_factors_batch(design, eng, systematic, stencils, base.seed,
-                               static_cast<std::uint64_t>(k), 8,
-                               std::span(factor_soa), scratch);
-      const auto tq = clock::now();
-      eng.analyze_batch_soa(std::span<const double>(factor_soa), 8,
-                            std::span(results));
-      const auto tr = clock::now();
-      for (int l = 0; l < 8; ++l) {
-        const StaResult& sr = results[static_cast<std::size_t>(l)];
-        stage_wns[static_cast<std::size_t>(k + l)] = sr.stage_wns;
-        min_period[static_cast<std::size_t>(k + l)] = sr.min_period_ns;
-        for (std::size_t epi = 0; epi < num_eps; ++epi) {
-          const double slack = sr.endpoint_slack[epi];
-          if (!std::isfinite(slack)) continue;
-          if (slack < 0.0) ++crit[epi];
-          const double swns =
-              sr.stage_wns[static_cast<std::size_t>(endpoints[epi].stage)];
-          if (slack <= swns + 1e-12) ++stage_crit[epi];
-        }
-      }
-      const auto ts = clock::now();
-      t_draw += std::chrono::duration<double>(tq - tp).count();
-      t_prop += std::chrono::duration<double>(tr - tq).count();
-      t_tally += std::chrono::duration<double>(ts - tr).count();
-    }
-    const double wall =
-        std::chrono::duration<double>(clock::now() - wall0).count();
-    const double phase_sum = t_draw + t_prop + t_tally;
-    attribution_frac = phase_sum / wall;
-    attribution_ok = std::abs(phase_sum - wall) <= 0.05 * wall;
-    const double us = 1e6 / att_samples;
-    std::printf(
-        "batched-profile time attribution (%d samples, batch 8, serial):\n"
-        "  draw   %8.2f us/sample  (%4.1f%% of wall)\n"
-        "  prop   %8.2f us/sample  (%4.1f%% of wall)\n"
-        "  tally  %8.2f us/sample  (%4.1f%% of wall)\n"
-        "  phases sum to %.1f%% of wall — %s (gate: within 5%%)\n",
-        att_samples, t_draw * us, 100.0 * t_draw / wall, t_prop * us,
-        100.0 * t_prop / wall, t_tally * us, 100.0 * t_tally / wall,
-        100.0 * attribution_frac,
-        attribution_ok ? "accounted" : "UNACCOUNTED TIME (BUG)");
-    std::printf(
-        "  -> section 2's batchN_speedup_e2e ~ 1.0 explained: the Scalar "
-        "profile draws at %.1f us/sample in BOTH the batch-1 and batch-N "
-        "paths, dwarfing the %.2f -> %.2f us/lane propagation win; the "
-        "Batched draw cuts that phase to %.1f us/sample, which is where "
-        "section 5's end-to-end gain comes from\n\n",
-        draw_scalar_us, kern_scalar_s.count() / kernel_lanes * 1e6,
-        prop_us_per_lane, draw_batch_us);
-    out.set("e2e_draw_us_per_sample", t_draw * us);
-    out.set("e2e_prop_us_per_sample", t_prop * us);
-    out.set("e2e_tally_us_per_sample", t_tally * us);
-    out.set("e2e_phase_sum_over_wall", attribution_frac);
-  }
-
-  // 10. Statistical agreement between the profiles (hard gates): Batched
-  // and BatchedSimd each use a different stream than Scalar, but all
-  // three estimate the same population.
-  const bool stats_ok = stages_statistically_agree(
-      "scalar-vs-batched", scalar_ref, batched_ref, samples);
-  const bool simd_stats_ok = stages_statistically_agree(
-      "scalar-vs-batchedsimd", scalar_ref, simd_ref, samples);
-
-  // 11. Adaptive sequential sampling vs the fixed budget (DESIGN.md §14).
-  // The CI target is fixed a priori off the scalar reference fits: pin
-  // every stage's sigma to +/-15 % and its mean to +/-40 % of the worst
-  // stage sigma, at 95 % — a precision the fixed budget comfortably
-  // overshoots, so a correct sequential rule stops well short of it
-  // (sample savings, soft target).  The hard gate is prefix equivalence:
-  // the adaptive run stopping at N must fingerprint identically to a
-  // fixed run with samples = N, serial AND pooled.
-  bool adaptive_identical = true;
-  int adaptive_n = 0;
-  double adaptive_savings = 0.0;
-  {
-    const int fixed_budget = std::min(samples, 500);
-    double sigma_max = 0.0;
-    for (const auto& sd : scalar_ref.stages) {
-      if (sd.present) sigma_max = std::max(sigma_max, sd.fit.stddev);
-    }
-
-    McConfig acfg = base;
-    acfg.adaptive.enabled = true;
-    acfg.adaptive.min_samples = 32;
-    acfg.adaptive.max_samples = fixed_budget;
-    acfg.adaptive.check_every_batches = 2;
-    acfg.adaptive.sigma_half_width_ns = 0.15 * sigma_max;
-    acfg.adaptive.mean_half_width_ns = 0.40 * sigma_max;
-
-    t0 = clock::now();
-    const McResult adaptive = mc.run(loc, acfg);
-    const std::chrono::duration<double> adaptive_s = clock::now() - t0;
-    adaptive_n = adaptive.samples;
-    const std::string adaptive_fp = fingerprint(adaptive);
-
-    ThreadPool pool(std::min(4u, hw));
-    t0 = clock::now();
-    const McResult adaptive_pooled = mc.run(loc, acfg, &pool);
-    const std::chrono::duration<double> adaptive_pool_s = clock::now() - t0;
-    const bool pooled_same = fingerprint(adaptive_pooled) == adaptive_fp &&
-                             adaptive_pooled.samples == adaptive_n;
-    adaptive_identical &= pooled_same;
-
-    McConfig fcfg = base;
-    fcfg.samples = adaptive_n;
-    const bool fixed_same = fingerprint(mc.run(loc, fcfg)) == adaptive_fp;
-    const bool fixed_pool_same =
-        fingerprint(mc.run(loc, fcfg, &pool)) == adaptive_fp;
-    adaptive_identical &= fixed_same && fixed_pool_same;
-
-    fcfg.samples = fixed_budget;
-    t0 = clock::now();
-    (void)mc.run(loc, fcfg);
-    const std::chrono::duration<double> fixed_s = clock::now() - t0;
-
-    adaptive_savings =
-        1.0 - static_cast<double>(adaptive_n) / fixed_budget;
-    Table at({"config", "samples", "wall [s]", "stop", "identical"});
-    at.add_row({"fixed budget", std::to_string(fixed_budget),
-                Table::num(fixed_s.count(), 3), "fixed-budget", "-"});
-    at.add_row({"adaptive serial", std::to_string(adaptive_n),
-                Table::num(adaptive_s.count(), 3),
-                mc_stop_name(adaptive.stopping_reason), "ref"});
-    at.add_row({"adaptive pooled", std::to_string(adaptive_pooled.samples),
-                Table::num(adaptive_pool_s.count(), 3),
-                mc_stop_name(adaptive_pooled.stopping_reason),
-                pooled_same ? "yes" : "NO (BUG)"});
-    char nlabel[40];
-    std::snprintf(nlabel, sizeof nlabel, "fixed at N=%d", adaptive_n);
-    at.add_row({nlabel, std::to_string(adaptive_n), "-", "fixed-budget",
-                fixed_same && fixed_pool_same ? "yes" : "NO (BUG)"});
-    std::printf("adaptive sampling (sigma hw <= %.4g ns, mean hw <= %.4g ns "
-                "at 95 %%):\n%s",
-                acfg.adaptive.sigma_half_width_ns,
-                acfg.adaptive.mean_half_width_ns, at.render().c_str());
-    std::printf("convergence:");
-    for (const McRound& r : adaptive.convergence) {
-      std::printf(" %d:%.4f/%.4f", r.samples, r.worst_mean_half_width_ns,
-                  r.worst_sigma_half_width_ns);
-    }
-    std::printf("  -> %s, %.1f%% of the fixed budget never drawn\n\n",
-                mc_stop_name(adaptive.stopping_reason),
-                100.0 * adaptive_savings);
-
-    out.set("adaptive_fixed_budget", fixed_budget);
-    out.set("adaptive_samples", adaptive_n);
-    out.set("adaptive_rounds", static_cast<double>(adaptive.convergence.size()));
-    out.set("adaptive_converged",
-            adaptive.stopping_reason == McStop::Converged ? 1.0 : 0.0);
-    out.set("adaptive_sample_savings", adaptive_savings);
-    out.set("adaptive_wall_s", adaptive_s.count());
-    out.set("adaptive_fixed_budget_wall_s", fixed_s.count());
-    out.set("adaptive_speedup_vs_fixed", fixed_s.count() / adaptive_s.count());
-  }
-
-  out.write(bench::out_path(argc, argv, "BENCH_mc.json"));
-
-  if (!all_identical) {
-    std::printf("DETERMINISM VIOLATION: a Scalar-profile configuration "
-                "differs from the scalar-serial reference\n");
-    return 1;
-  }
-  if (!batched_identical) {
-    std::printf("DETERMINISM VIOLATION: a Batched-profile configuration "
-                "differs from the batched reference (width/thread layout "
-                "leaked into the draw)\n");
-    return 1;
-  }
-  if (!isa_identical) {
-    std::printf("BIT-IDENTITY VIOLATION: a pinned dispatch target's batched "
-                "propagation diverged from scalar analyze() — the per-lane "
-                "contract of DESIGN.md §17 is broken\n");
-    return 1;
-  }
-  if (!simd_identical) {
-    std::printf("BIT-IDENTITY VIOLATION: the BatchedSimd stream is not "
-                "invariant across dispatch targets / widths / threads, or a "
-                "pinned Batched run diverged from the batched reference\n");
-    return 1;
-  }
-  if (!attribution_ok) {
-    std::printf("ATTRIBUTION FAILURE: draw+prop+tally account for %.1f%% of "
-                "the replicated batched loop's wall clock (gate: 100%% +/- "
-                "5%%) — a phase is being measured outside the split\n",
-                100.0 * attribution_frac);
-    return 1;
-  }
-  if (!stats_ok || !simd_stats_ok) {
-    std::printf("STATISTICAL DISAGREEMENT: a profile's stage-slack fits "
-                "differ from the Scalar profile beyond sampling error — one "
-                "of the draw engines is biased\n");
-    return 1;
-  }
-  if (!adaptive_identical) {
-    std::printf("DETERMINISM VIOLATION: the adaptive run stopping at N=%d "
-                "is not bit-identical to a fixed run with samples = N "
-                "(prefix equivalence broken)\n", adaptive_n);
-    return 1;
-  }
-  if (adaptive_savings <= 0.0) {
-    std::printf("WARNING: adaptive sampling drew the whole fixed budget — "
-                "no sample savings at the a-priori CI target\n");
-  }
-  if (kernel_speedup < 1.5) {
-    std::printf("WARNING: batched kernel speedup %.2fx below the 1.5x "
-                "target\n", kernel_speedup);
-  }
-  if (batched_speedup < 2.0) {
-    std::printf("WARNING: Batched-profile serial throughput %.2fx the scalar "
-                "baseline, below the 2x target\n", batched_speedup);
-  }
-  // The 4x combined target needs real cores; smaller machines still
-  // verified bit-identity above, which is the part that silently breaks.
-  if (hw >= 8 && speedup_hw < 4.0) {
-    std::printf("WARNING: combined speedup %.2fx at %u threads below the "
-                "4x target\n", speedup_hw, speedup_hw_threads);
-    return 1;
-  }
-  if (hw < 8) {
-    std::printf("note: only %u hardware thread(s); thread-scaling targets "
-                "are not enforceable here\n", hw);
-  }
+  std::printf("  -> %s after %zu rounds, %.1f%% of the fixed budget never "
+              "drawn (%.1fx wall clock)\n",
+              mc_stop_name(adaptive.stopping_reason),
+              adaptive.convergence.size(), 100.0 * savings,
+              fixed_s.count() / adaptive_s.count());
   return 0;
 }

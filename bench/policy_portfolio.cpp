@@ -1,44 +1,23 @@
-// Compensation-policy portfolio Pareto (DESIGN.md §18): one wafer run
-// per policy mix — VI escalation only, statistical sizing + VI,
-// criticality buffering + VI, and all three — reporting the
+// Compensation-policy portfolio Pareto (DESIGN.md §18, EXPERIMENTS.md
+// E13): one wafer run per policy mix — VI escalation only, statistical
+// sizing + VI, criticality buffering + VI, and all three — reporting the
 // power/area/yield point each mix buys.  Transforming mixes compile the
 // netlist once (compile_policy_mix) and fabricate every die on the
 // transformed design; the per-level base snapshots (DESIGN.md §12) serve
-// the compiled netlists exactly as they serve the baseline.
-//
-// Hard determinism gates (any failure exits 1):
-//   1. Per mix, the serialized report (CSV + JSON) is byte-identical for
-//      any thread count.
-//   2. Per mix, reducing the wafer in shards of ANY size and merging
-//      reproduces the single-shard aggregate's serialized NDJSON record
-//      byte-for-byte (the campaign-layer contract on compiled netlists).
-//   3. Portfolio-off bit-identity: the vi-only mix's per-die bits and
-//      CSV equal a pre-portfolio YieldAnalyzer::from_flow run exactly —
-//      wiring the portfolio in changes NOTHING for untouched mixes.
-//   4. Zero-strength bit-identity: a mix with sizing enabled but a
-//      threshold no gate reaches compiles a transformed-but-identical
-//      netlist whose per-die bits still equal the baseline (the
-//      rebuilt-StaEngine path is exact, DESIGN.md §18).
-//
-// Emits BENCH_policy.json (one metric block per mix) for trajectory
-// tracking across PRs.
+// the compiled netlists exactly as they serve the baseline.  The
+// determinism and bit-identity contracts of the mixes (thread counts,
+// shard sizes, portfolio-off and zero-strength identity) are gated in
+// tests/test_policy_portfolio.cpp.
 //
 // Knobs: --samples N (per-die MC budget, default 12), --dies N (use the
-// smallest wafer with at least N dies instead of the 300 mm default),
-// --out PATH.
+// smallest wafer with at least N dies instead of the 300 mm default).
 
 #include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <sstream>
+#include <memory>
 #include <string>
-#include <thread>
-#include <utility>
 #include <vector>
 
-#include "campaign/checkpoint.hpp"
-#include "io/yield_writers.hpp"
-#include "timing/sta.hpp"
 #include "util/table.hpp"
 #include "vi/policy.hpp"
 #include "yield/wafer.hpp"
@@ -52,8 +31,8 @@ int main(int argc, char** argv) {
   bench::print_header("Policy portfolio",
                       "power/area/yield Pareto per compensation-policy mix");
 
-  // Same tiny core as bench/wafer_yield: the workload SHAPE (per-die MC
-  // + compensation on a shared read-only design) is the full VEX's.
+  // Tiny core: the workload SHAPE (per-die MC + compensation on a shared
+  // read-only design) is the full VEX's.
   FlowConfig cfg;
   cfg.vex = VexConfig::tiny();
   cfg.floorplan.target_utilization = 0.55;
@@ -79,7 +58,7 @@ int main(int argc, char** argv) {
   const WaferModel wafer{wc};
   YieldConfig yc;
   yc.mc.samples = bench::arg_int(argc, argv, "--samples", 12);
-  yc.mc.profile = DrawProfile::Batched;
+  yc.mc.profile = DrawProfile::BatchedSimd;
   std::printf("# wafer: %zu dies (%.0f mm), %d MC samples/die\n\n",
               wafer.num_dies(), wc.wafer_diameter_mm, yc.mc.samples);
 
@@ -101,22 +80,15 @@ int main(int argc, char** argv) {
   };
   struct MixRun {
     PolicyMix mix;
-    const char* key;  ///< BENCH json key prefix
     CompiledPolicy compiled;
     std::unique_ptr<YieldAnalyzer> analyzer;
-    YieldReport serial_report;
-    double serial_s = 0.0;
   };
   std::vector<MixRun> mixes;
-  mixes.push_back({make_mix("vi-only", false, false), "vi_only", {}, {}, {}});
-  mixes.push_back(
-      {make_mix("sizing+vi", true, false), "sizing_vi", {}, {}, {}});
-  mixes.push_back(
-      {make_mix("buffering+vi", false, true), "buffering_vi", {}, {}, {}});
-  mixes.push_back({make_mix("sizing+buffering+vi", true, true),
-                   "sizing_buffering_vi", {}, {}, {}});
+  mixes.push_back({make_mix("vi-only", false, false), {}, {}});
+  mixes.push_back({make_mix("sizing+vi", true, false), {}, {}});
+  mixes.push_back({make_mix("buffering+vi", false, true), {}, {}});
+  mixes.push_back({make_mix("sizing+buffering+vi", true, true), {}, {}});
 
-  const YieldAnalyzer baseline = YieldAnalyzer::from_flow(flow);
   for (MixRun& m : mixes) {
     m.compiled = compile_policy_mix(m.mix, flow.design(), flow.sta(),
                                     flow.variation(), flow.activity());
@@ -137,143 +109,12 @@ int main(int argc, char** argv) {
   }
   std::printf("\n");
 
-  const auto fingerprint = [&](const YieldReport& r) {
-    std::ostringstream os;
-    write_yield_csv(os, wafer, r);
-    write_yield_json(os, r);
-    return os.str();
-  };
-  // Every per-die field, as bit patterns: the identity the zero-strength
-  // and portfolio-off gates compare (their CSV/JSON provenance stamps
-  // may legitimately differ; the silicon must not).
-  const auto die_bits = [](const YieldReport& r) {
-    std::ostringstream os;
-    os << std::hexfloat;
-    for (const DieOutcome& d : r.dies) {
-      os << d.die_id << ' ' << d.mc_severity << ' ' << d.mc_samples << ' '
-         << static_cast<int>(d.mc_stop) << ' ' << d.detected_severity << ' '
-         << d.islands_raised << ' ' << static_cast<int>(d.policy) << ' '
-         << d.timing_met << ' ' << d.escalated << ' ' << d.missed_violation
-         << ' ' << d.wns_all_low_ns << ' ' << d.wns_final_ns << ' '
-         << d.fmax_ghz << ' ' << d.total_mw << ' ' << d.leakage_mw << '\n';
-    }
-    return os.str();
-  };
-
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  bench::BenchJson out("policy_portfolio");
-  out.set("dies", static_cast<double>(wafer.num_dies()));
-  out.set("mc_samples_per_die", yc.mc.samples);
-  out.set("hardware_threads", hw);
-
-  // ---- gate 1: per-mix byte determinism across thread counts -------------
-  for (MixRun& m : mixes) {
-    const auto t0 = clock::now();
-    m.serial_report = m.analyzer->analyze(wafer, yc, nullptr);
-    const std::chrono::duration<double> dt = clock::now() - t0;
-    m.serial_s = dt.count();
-    const std::string reference = fingerprint(m.serial_report);
-    for (unsigned threads : {2u, 4u}) {
-      ThreadPool pool(threads);
-      const YieldReport r = m.analyzer->analyze(wafer, yc, &pool);
-      if (fingerprint(r) != reference) {
-        std::printf("DETERMINISM VIOLATION: mix %s differs at %u threads\n",
-                    m.mix.name.c_str(), threads);
-        return 1;
-      }
-    }
-  }
-
-  // ---- gate 2: shard-partition invariance on compiled netlists -----------
-  // The wafer reduced in one shard vs shards of 7 and 19 dies must
-  // serialize to byte-identical NDJSON records (identity fields pinned,
-  // so the bytes compare the reducer state alone).
-  for (MixRun& m : mixes) {
-    const std::size_t n = wafer.num_dies();
-    const auto shard_record = [&](std::size_t shard_dies) {
-      YieldWorker worker(*m.analyzer);
-      YieldAggregate agg;
-      for (std::size_t b = 0; b < n; b += shard_dies) {
-        const std::size_t e = std::min(n, b + shard_dies);
-        YieldAggregate part = m.analyzer->analyze_shard(worker, wafer, yc, b, e);
-        if (b == 0) {
-          agg = std::move(part);
-        } else {
-          agg.merge(part);
-        }
-      }
-      ShardRecord rec;
-      rec.job = 0;
-      rec.cell = 0;
-      rec.wafer = 0;
-      rec.die_begin = 0;
-      rec.die_end = n;
-      rec.agg = std::move(agg);
-      return serialize_shard_record(rec);
-    };
-    const std::string whole = shard_record(n);
-    for (const std::size_t shard : {std::size_t{7}, std::size_t{19}}) {
-      if (shard_record(shard) != whole) {
-        std::printf("DETERMINISM VIOLATION: mix %s shard size %zu diverges "
-                    "from the single-shard reduction\n",
-                    m.mix.name.c_str(), shard);
-        return 1;
-      }
-    }
-  }
-  std::printf("determinism: 4 mixes byte-identical across {1,2,4} threads "
-              "and shard sizes {7,19,%zu}\n",
-              wafer.num_dies());
-
-  // ---- gate 3: portfolio-off bit-identity --------------------------------
-  // A pre-portfolio analyzer (from_flow, no portfolio stamp beyond the
-  // vi-only default) must reproduce the vi-only mix bit-for-bit: CSV
-  // bytes AND every per-die field.
-  const YieldReport pre_portfolio = baseline.analyze(wafer, yc, nullptr);
-  {
-    std::ostringstream a, b;
-    write_yield_csv(a, wafer, pre_portfolio);
-    write_yield_csv(b, wafer, mixes[0].serial_report);
-    if (a.str() != b.str() ||
-        die_bits(pre_portfolio) != die_bits(mixes[0].serial_report)) {
-      std::printf("PORTFOLIO VIOLATION: vi-only mix differs from the "
-                  "pre-portfolio path\n");
-      return 1;
-    }
-  }
-
-  // ---- gate 4: zero-strength transform bit-identity ----------------------
-  // Sizing enabled with an unreachable threshold: compile_policy_mix
-  // takes the full transform path (criticality MC, netlist copy, fresh
-  // StaEngine) yet selects nothing — per-die bits must equal the
-  // baseline exactly.
-  {
-    PolicyMix zero = make_mix("vi-only", true, false);
-    zero.sizing.min_crit_prob = 2.0;  // probabilities are <= 1
-    const CompiledPolicy cp = compile_policy_mix(
-        zero, flow.design(), flow.sta(), flow.variation(), flow.activity());
-    if (!cp.transformed() || cp.stats.gates_upsized != 0) {
-      std::printf("PORTFOLIO VIOLATION: zero-strength mix was expected to "
-                  "transform nothing\n");
-      return 1;
-    }
-    YieldAnalyzer an(*cp.design, *cp.sta, flow.variation(),
-                     flow.island_plan(), flow.razor_plan(), *cp.activity,
-                     1.0 / flow.post_shifter_clock_ns());
-    const YieldReport r = an.analyze(wafer, yc, nullptr);
-    if (die_bits(r) != die_bits(pre_portfolio)) {
-      std::printf("PORTFOLIO VIOLATION: zero-strength sizing policy changed "
-                  "per-die bits vs the pre-portfolio path\n");
-      return 1;
-    }
-    std::printf("zero-strength + portfolio-off bit-identity: ok\n");
-  }
-
-  // ---- the Pareto table ---------------------------------------------------
   Table pt({"mix", "yield %", "ship power [mW]", "area [um^2]", "d-area",
             "upsized", "buffers", "dies/s"});
   for (const MixRun& m : mixes) {
-    const YieldReport& r = m.serial_report;
+    const auto t0 = clock::now();
+    const YieldReport r = m.analyzer->analyze(wafer, yc, nullptr);
+    const std::chrono::duration<double> dt = clock::now() - t0;
     double power = 0.0;
     std::size_t shipped = 0;
     for (const DieOutcome& d : r.dies) {
@@ -284,7 +125,7 @@ int main(int argc, char** argv) {
     const double ship_power = shipped == 0 ? 0.0
                                            : power / static_cast<double>(shipped);
     const double dies_per_s =
-        static_cast<double>(wafer.num_dies()) / m.serial_s;
+        static_cast<double>(wafer.num_dies()) / dt.count();
     pt.add_row({m.mix.name, Table::num(r.parametric_yield() * 100.0, 1),
                 Table::num(ship_power, 3),
                 Table::num(m.compiled.stats.area_um2, 1),
@@ -292,24 +133,7 @@ int main(int argc, char** argv) {
                 std::to_string(m.compiled.stats.gates_upsized),
                 std::to_string(m.compiled.stats.buffers_inserted),
                 Table::num(dies_per_s, 1)});
-    char key[96];
-    std::snprintf(key, sizeof key, "%s_yield", m.key);
-    out.set(key, r.parametric_yield());
-    std::snprintf(key, sizeof key, "%s_ship_power_mw", m.key);
-    out.set(key, ship_power);
-    std::snprintf(key, sizeof key, "%s_area_um2", m.key);
-    out.set(key, m.compiled.stats.area_um2);
-    std::snprintf(key, sizeof key, "%s_area_delta_um2", m.key);
-    out.set(key, m.compiled.stats.area_delta_um2);
-    std::snprintf(key, sizeof key, "%s_gates_upsized", m.key);
-    out.set(key, static_cast<double>(m.compiled.stats.gates_upsized));
-    std::snprintf(key, sizeof key, "%s_buffers", m.key);
-    out.set(key, static_cast<double>(m.compiled.stats.buffers_inserted));
-    std::snprintf(key, sizeof key, "%s_dies_per_sec", m.key);
-    out.set(key, dies_per_s);
   }
   std::printf("%s\n", pt.render().c_str());
-
-  out.write(bench::out_path(argc, argv, "BENCH_policy.json"));
   return 0;
 }

@@ -108,7 +108,7 @@ std::vector<CampaignCell> CampaignRunner::expand(
   if (spec.shard_dies < 1) {
     throw std::invalid_argument("campaign: shard_dies must be >= 1");
   }
-  (void)spec.base.effective_tier();  // throws on a removed tier
+  (void)spec.base.effective_tier();  // throws on a removed tier/profile
   for (const double s : spec.sigma_scales) {
     if (!(s > 0.0)) {
       throw std::invalid_argument("campaign: sigma scales must be positive");

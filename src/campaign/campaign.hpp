@@ -18,7 +18,7 @@
 //     (YieldAggregate: exact integer tallies + ExactMoments), so the
 //     final CampaignReport is BIT-identical for any shard size and any
 //     thread count, and its serialized form byte-identical (hard-gated
-//     in bench/campaign_sweep and CI).
+//     in tests/test_campaign.cpp).
 //
 //  2. *Streaming, O(1) in dies.*  A shard worker folds each die into
 //     its aggregate and discards the outcome; completed shard records

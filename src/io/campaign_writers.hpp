@@ -1,7 +1,7 @@
 #pragma once
 // Campaign-report emission.  The JSON document this writer produces is
-// THE byte-compared artifact of the campaign determinism gate
-// (bench/campaign_sweep, DESIGN.md §15): two runs of the same spec must
+// THE byte-compared artifact of the campaign determinism gates
+// (tests/test_campaign.cpp, DESIGN.md §15): two runs of the same spec must
 // serialize identically for any shard size, thread count, or
 // kill-and-resume split.  Two consequences shape the schema:
 //

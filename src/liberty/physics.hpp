@@ -103,7 +103,7 @@ struct CharParams {
   /// raw_delay with pow(Lgate, 1.5) strength-reduced to Lgate*sqrt(Lgate)
   /// (~3x cheaper, equal to within ~1 ulp but NOT bit-identical — pow
   /// rounds once, the product twice).  Kept separate so the scalar draw
-  /// path stays bit-identical to seed; the batched draw profile's
+  /// path stays bit-identical to seed; the BatchedSimd draw profile's
   /// delay-factor tables are built from this form.
   double raw_delay_fast(double lgate_nm, double vdd,
                         double vth0_class) const {

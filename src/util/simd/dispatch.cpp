@@ -170,11 +170,9 @@ std::string cpu_features() {
 
 namespace vipvt {
 
-// Defined here (not rng.cpp) so the Rng TU keeps its -ffast-math compile
-// options away from anything feeding the dispatch-stable kernels.
 void Rng::normals_simd(std::span<double> out) noexcept {
-  // Like normals(), the two parent draws happen regardless of the request
-  // size, keeping downstream streams length-independent.
+  // The two parent draws happen regardless of the request size, keeping
+  // downstream streams length-independent.
   const std::uint64_t key_r = next();
   const std::uint64_t key_t = next();
   if (out.empty()) return;

@@ -63,10 +63,10 @@ using DrawTransformFn = void (*)(const double* coef, std::int32_t row_stride,
                                  const double* eps, double* out,
                                  std::size_t n, std::size_t width);
 
-/// Counter-driven bulk Box–Muller fill for Rng::normals_simd: same block
-/// structure as Rng::normals (128-pair blocks, prefix-stable), but the
-/// log/sin/cos run through the layer's own vector math so the output bits
-/// are identical across ISAs, compilers and build flags.
+/// Counter-driven bulk Box–Muller fill for Rng::normals_simd (128-pair
+/// blocks, prefix-stable); the log/sin/cos run through the layer's own
+/// vector math so the output bits are identical across ISAs, compilers
+/// and build flags.
 using NormalsFillFn = void (*)(std::uint64_t key_r, std::uint64_t key_t,
                                double* out, std::size_t n);
 

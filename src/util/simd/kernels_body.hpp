@@ -244,10 +244,11 @@ inline void draw_transform_body(const double* coef, std::int32_t row_stride,
   }
 }
 
-/// Counter-driven bulk Box–Muller fill (Rng::normals_simd engine).  Mirrors
-/// the block structure of Rng::normals (rng.cpp): fixed 128-pair blocks,
-/// full-block padding for prefix stability, interleaved (cos, sin) output,
-/// odd tail keeps only the cosine branch.  Counter generation stays scalar
+/// Counter-driven bulk Box–Muller fill (Rng::normals_simd engine): fixed
+/// 128-pair blocks, each evaluated in full even when the request ends
+/// inside it, so counter k is always computed at block k/128, lane k%128
+/// and prefixes stay bit-stable; interleaved (cos, sin) output, odd tail
+/// keeps only the cosine branch.  Counter generation stays scalar
 /// (splitmix64 is cheap); the log/sqrt/sincos run through the policy, and
 /// 128 % W == 0 for every policy so blocks never need a remainder lane.
 template <class P>

@@ -80,6 +80,7 @@ McResult MonteCarloSsta::run(const DieLocation& loc, const McConfig& cfg,
 McResult MonteCarloSsta::run_with_systematic(
     std::span<const double> systematic, const McConfig& cfg, ThreadPool* pool,
     McScratch* scratch) const {
+  cfg.check_profile();
   const AdaptivePolicy& ap = cfg.adaptive;
   if (ap.enabled &&
       (ap.min_samples < 1 || ap.max_samples < ap.min_samples ||
@@ -160,13 +161,10 @@ McResult MonteCarloSsta::run_with_systematic(
     const std::size_t lanes = std::min(width, cap - first);
     if (cfg.profile != DrawProfile::Scalar) {
       // Draw all lanes in one pass directly into the SoA layout the
-      // propagation kernel consumes; no per-batch transpose.  BatchedSimd
-      // only swaps the bulk normal stream (Rng::normals_simd); the rest
-      // of the engine is shared with Batched.
+      // propagation kernel consumes; no per-batch transpose.
       model_->draw_factors_batch(
           *design_, engine, systematic, stencils, cfg.seed, first, lanes,
-          std::span(w.factor_soa).first(num_inst * lanes), w.draw,
-          cfg.profile == DrawProfile::BatchedSimd);
+          std::span(w.factor_soa).first(num_inst * lanes), w.draw);
       engine.analyze_batch_soa(
           std::span<const double>(w.factor_soa).first(num_inst * lanes),
           lanes, std::span(w.results).first(lanes));

@@ -11,6 +11,7 @@
 
 #include <array>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "util/stats.hpp"
@@ -22,29 +23,23 @@ class ThreadPool;
 
 /// Versioned draw profiles.  A profile fixes the exact bit-stream of the
 /// per-sample factor draw; results are comparable across machines and
-/// releases only within a profile.
+/// releases only within a profile.  Value 1 belonged to the removed
+/// libm-based Batched profile: McConfig::check_profile() rejects it
+/// (and any other unlisted value) rather than reinterpreting it.
 enum class DrawProfile : int {
   /// The seed path: per-gate polar normals + exact alpha-power quotient
   /// per gate per sample.  Stays bit-identical to the original
   /// implementation forever — the reproducibility anchor.
   Scalar = 0,
   /// The vectorized engine: counter-driven Box-Muller bulk normals
-  /// (Rng::normals) + delay-factor interpolation tables
-  /// (VariationModel::draw_factors_batch), writing the propagation
-  /// kernel's SoA layout directly.  Its own determinism contract:
-  /// bit-identical for any thread count and any batch width, but a
-  /// DIFFERENT (statistically equivalent) stream than Scalar.
-  Batched = 1,
-  /// The Batched engine with the Box-Muller log/sin/cos routed through
-  /// the SIMD kernel layer's own vector math (Rng::normals_simd,
-  /// DESIGN.md §17) instead of libm/libmvec.  Batched's bits depend on
-  /// the host libm build; this profile's bits are ADDITIONALLY identical
-  /// across ISAs, compilers and build flags, because every dispatch
-  /// target instantiates the same kernel body with FMA contraction
-  /// disabled.  Same determinism contract as Batched (thread- and
-  /// width-invariant); yet another DIFFERENT, statistically equivalent
-  /// stream.  This versioned profile exists precisely so the SIMD math
-  /// is never silently substituted into an existing stream.
+  /// whose log/sin/cos run through the SIMD kernel layer's own vector
+  /// math (Rng::normals_simd, DESIGN.md §17) + delay-factor
+  /// interpolation tables (VariationModel::draw_factors_batch), writing
+  /// the propagation kernel's SoA layout directly.  Its own determinism
+  /// contract: bit-identical for any thread count, any batch width and
+  /// any dispatch target (every target instantiates the same kernel body
+  /// with FMA contraction disabled), but a DIFFERENT (statistically
+  /// equivalent) stream than Scalar.
   BatchedSimd = 2,
 };
 
@@ -92,6 +87,15 @@ struct McConfig {
   /// Opt-in sequential sampling; disabled keeps the fixed-budget path
   /// byte-for-byte unchanged (DESIGN.md §14).
   AdaptivePolicy adaptive{};
+
+  /// Throws std::invalid_argument when `profile` is neither Scalar nor
+  /// BatchedSimd — the removed Batched (1) among them.
+  void check_profile() const {
+    if (profile != DrawProfile::Scalar &&
+        profile != DrawProfile::BatchedSimd) {
+      throw std::invalid_argument("the Batched draw profile was removed");
+    }
+  }
 };
 
 /// Distribution of one pipeline stage's worst slack across MC samples.
@@ -156,7 +160,7 @@ struct McResult {
 /// Not shareable between concurrent runs.
 struct McScratch {
   std::vector<std::vector<double>> factors;  ///< Scalar profile lanes
-  AlignedVec<double> factor_soa;  ///< Batched/BatchedSimd lanes (SoA, 64B)
+  AlignedVec<double> factor_soa;  ///< BatchedSimd lanes (SoA, 64B)
   VariationModel::DrawScratch draw;
   std::vector<StaResult> results;
   std::vector<std::uint32_t> crit;        ///< samples with slack < 0

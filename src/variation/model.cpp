@@ -14,17 +14,12 @@ CorrelatedField::CorrelatedField(double pitch_um, int grid, double sigma_nm,
 }
 
 CorrelatedField CorrelatedField::bulk(double pitch_um, int grid,
-                                      double sigma_nm, Rng& rng,
-                                      bool simd_normals) {
+                                      double sigma_nm, Rng& rng) {
   CorrelatedField f;
   f.pitch_um_ = pitch_um;
   f.grid_ = grid;
   f.values_.resize(static_cast<std::size_t>(grid + 1) * (grid + 1));
-  if (simd_normals) {
-    rng.normals_simd(f.values_);
-  } else {
-    rng.normals(f.values_);
-  }
+  rng.normals_simd(f.values_);
   for (auto& v : f.values_) v *= sigma_nm;
   return f;
 }
@@ -218,8 +213,7 @@ void VariationModel::draw_factors_batch(
     std::span<const double> systematic_lgate_nm,
     std::span<const CorrelatedField::Stencil> stencils, std::uint64_t seed,
     std::uint64_t first_sample, std::size_t width,
-    std::span<double> factor_soa, DrawScratch& scratch,
-    bool simd_normals) const {
+    std::span<double> factor_soa, DrawScratch& scratch) const {
   const std::size_t n = design.num_instances();
   if (systematic_lgate_nm.size() < n) {
     throw std::invalid_argument("draw_factors_batch: short systematic map");
@@ -243,13 +237,9 @@ void VariationModel::draw_factors_batch(
     CorrelatedField field;
     if (correlated) {
       field = CorrelatedField::bulk(cfg_.correlation_length_um, kCorrGrid,
-                                    sigma_correlated_nm(), rng, simd_normals);
+                                    sigma_correlated_nm(), rng);
     }
-    if (simd_normals) {
-      rng.normals_simd({eps, n});
-    } else {
-      rng.normals({eps, n});
-    }
+    rng.normals_simd({eps, n});
     if (correlated) {
       for (std::size_t i = 0; i < n; ++i) {
         eps[i] =

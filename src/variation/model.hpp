@@ -45,13 +45,11 @@ class CorrelatedField {
   CorrelatedField() = default;  ///< inactive (i.i.d. model)
   CorrelatedField(double pitch_um, int grid, double sigma_nm, Rng& rng);
 
-  /// Counter-driven bulk draw of the node grid (Rng::normals instead of
-  /// per-node polar normals) — the batched draw profile's field source.
-  /// With simd_normals the grid is filled by Rng::normals_simd instead:
-  /// the BatchedSimd profile's arch-invariant stream (a different stream
-  /// than normals(); see DrawProfile in mc_ssta.hpp).
+  /// Counter-driven bulk draw of the node grid (Rng::normals_simd
+  /// instead of per-node polar normals) — the BatchedSimd profile's field
+  /// source (see DrawProfile in mc_ssta.hpp).
   static CorrelatedField bulk(double pitch_um, int grid, double sigma_nm,
-                              Rng& rng, bool simd_normals = false);
+                              Rng& rng);
 
   bool active() const { return !values_.empty(); }
 
@@ -178,7 +176,7 @@ class VariationModel {
 
   /// Per-(corner, Vth class) delay-factor interpolation tables over the
   /// reachable Lgate range (systematic field extremes +/- the random
-  /// clamp), built once at construction.  The batched draw profile reads
+  /// clamp), built once at construction.  The BatchedSimd profile reads
   /// factors from these instead of evaluating the alpha-power quotient
   /// per gate per sample; max_rel_error() is the measured bound.
   const DelayFactorTables& delay_factor_tables() const { return tables_; }
@@ -208,32 +206,26 @@ class VariationModel {
     std::vector<std::int32_t> rows;  // instances (table row per instance)
   };
 
-  /// Batched draw profile: fill `factor_soa` — instance-major,
+  /// BatchedSimd draw profile: fill `factor_soa` — instance-major,
   /// factor_soa[i * width + lane] — with `width` independent whole-design
   /// draws in one pass.  Lane `l` owns the RNG substream of global sample
   /// first_sample + l (substream_seed, same keying as the scalar path),
-  /// draws its normals in bulk (Rng::normals) and maps Lgate to delay
-  /// factor through the interpolation tables.  Every lane's bits are a
-  /// function of (seed, global sample index) alone — never of width,
-  /// batch boundaries or the thread schedule — which is the profile's
-  /// determinism contract.  NOTE: this is a different (statistically
-  /// equivalent) stream than the scalar path's polar normals; the two
-  /// profiles do not produce bit-identical samples by design.
-  ///
-  /// simd_normals selects Rng::normals_simd for the bulk normal fills —
-  /// the BatchedSimd profile's arch-invariant stream (again different,
-  /// again statistically equivalent; DESIGN.md §17).  The Lgate-to-factor
-  /// transform always runs through the dispatched table kernel, which is
-  /// bit-identical to eval_row at every dispatch width, so the flag only
-  /// ever changes WHICH normal stream feeds the draw — never how any
-  /// stream is transformed.
+  /// draws its normals in bulk (Rng::normals_simd, the arch-invariant
+  /// stream of DESIGN.md §17) and maps Lgate to delay factor through the
+  /// interpolation tables.  Every lane's bits are a function of
+  /// (seed, global sample index) alone — never of width, batch
+  /// boundaries, the thread schedule or the dispatch target — which is
+  /// the profile's determinism contract.  NOTE: this is a different
+  /// (statistically equivalent) stream than the scalar path's polar
+  /// normals; the two profiles do not produce bit-identical samples by
+  /// design.  The Lgate-to-factor transform runs through the dispatched
+  /// table kernel, which is bit-identical to eval_row at every width.
   void draw_factors_batch(const Design& design, const StaEngine& sta,
                           std::span<const double> systematic_lgate_nm,
                           std::span<const CorrelatedField::Stencil> stencils,
                           std::uint64_t seed, std::uint64_t first_sample,
                           std::size_t width, std::span<double> factor_soa,
-                          DrawScratch& scratch,
-                          bool simd_normals = false) const;
+                          DrawScratch& scratch) const;
 
  private:
   CharParams cp_;

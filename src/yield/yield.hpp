@@ -139,8 +139,11 @@ struct YieldConfig {
   EvalTier tier = EvalTier::Flat;
 
   /// The tier every entry point runs; throws std::invalid_argument on
-  /// the removed EvalTier::Macro rather than reinterpreting it.
+  /// the removed EvalTier::Macro, or on a removed draw profile
+  /// (McConfig::check_profile), rather than reinterpreting either —
+  /// also on the Triage tier, where decided dies never reach MC.
   EvalTier effective_tier() const {
+    mc.check_profile();
     if (tier == EvalTier::Macro) {
       throw std::invalid_argument("the stage-macromodel tier was removed");
     }

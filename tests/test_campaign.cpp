@@ -16,6 +16,7 @@
 #include "campaign/checkpoint.hpp"
 #include "io/campaign_writers.hpp"
 #include "io/ndjson.hpp"
+#include "variation/mc_ssta.hpp"
 #include "vi/flow.hpp"
 
 namespace vipvt {
@@ -51,6 +52,22 @@ CampaignSpec tiny_spec() {
   spec.seed = 0xc0ffee01;
   spec.base.mc.samples = 6;
   spec.base.speed_bins = 4;
+  return spec;
+}
+
+/// The campaign sweep at its smoke-run knobs: 2 sigma scales x 2 policy
+/// mixes on the 70 mm grid, 1 wafer per cell, 4 MC samples per die.
+CampaignSpec sweep_spec() {
+  CampaignSpec spec;
+  spec.wafer_grids = {small_wafer()};
+  spec.sigma_scales = {1.0, 1.15};
+  spec.policies = {PolicyMix{"full", true, true},
+                   PolicyMix{"no-escalation", false, true}};
+  spec.mc_samples = {4};
+  spec.wafers_per_cell = 1;
+  spec.shard_dies = 3;
+  spec.seed = 0xca4fa167;
+  spec.base.mc.samples = 4;
   return spec;
 }
 
@@ -222,6 +239,52 @@ TEST_F(CampaignFixture, RemovedMacroTierIsRejectedByEveryEntryPoint) {
   EXPECT_THROW(runner_->run(spec), std::invalid_argument);
 }
 
+/// The libm-based Batched draw profile is gone: its value (1), and any
+/// other value but Scalar or BatchedSimd, is refused by every entry
+/// point — on the Triage tier too, where decided dies never reach MC —
+/// instead of being reinterpreted as another stream.
+TEST_F(CampaignFixture, RemovedBatchedProfileIsRejectedByEveryEntryPoint) {
+  const WaferModel wafer(small_wafer());
+  const YieldAnalyzer analyzer = YieldAnalyzer::from_flow(*flow_);
+  const MonteCarloSsta mc(flow_->design(), flow_->sta(), flow_->variation());
+  const DieLocation loc = DieLocation::point('A');
+  const std::vector<double> systematic =
+      flow_->variation().systematic_lgates(flow_->design(), loc);
+  for (const int value : {1, 3}) {
+    const auto profile = static_cast<DrawProfile>(value);
+    McConfig mcc;
+    mcc.samples = 4;
+    mcc.profile = profile;
+    EXPECT_THROW(mc.run(loc, mcc), std::invalid_argument);
+    EXPECT_THROW(mc.run_with_systematic(systematic, mcc),
+                 std::invalid_argument);
+    for (const EvalTier tier : {EvalTier::Flat, EvalTier::Triage}) {
+      YieldConfig cfg = tiny_spec().base;
+      cfg.tier = tier;
+      cfg.mc.profile = profile;
+      EXPECT_THROW(analyzer.analyze(wafer, cfg), std::invalid_argument);
+      YieldWorker worker(analyzer);
+      EXPECT_THROW(
+          analyzer.analyze_shard(worker, wafer, cfg, 0, wafer.num_dies()),
+          std::invalid_argument);
+      StaEngine engine(flow_->sta());
+      EXPECT_THROW(analyzer.analyze_die(engine, wafer.dies()[0], cfg),
+                   std::invalid_argument);
+      CampaignSpec spec = tiny_spec();
+      spec.base = cfg;
+      EXPECT_THROW(runner_->run(spec), std::invalid_argument);
+    }
+  }
+  try {
+    McConfig mcc;
+    mcc.profile = static_cast<DrawProfile>(1);
+    (void)mc.run(loc, mcc);
+    ADD_FAILURE() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "the Batched draw profile was removed");
+  }
+}
+
 TEST_F(CampaignFixture, ShardPartitionMergeMatchesSinglePass) {
   // Merging per-shard aggregates of ANY partition must reproduce the
   // one-shot aggregate bit-for-bit (compared through the exact
@@ -247,9 +310,11 @@ TEST_F(CampaignFixture, ShardPartitionMergeMatchesSinglePass) {
 }
 
 TEST_F(CampaignFixture, OnRecordStreamsInJobOrder) {
-  CampaignSpec spec = tiny_spec();
-  spec.wafers_per_cell = 1;
-  spec.sigma_scales = {1.0};
+  // One pending slot per die is the reorder buffer's worst case; its
+  // high-water mark must track the pool's out-of-order window, never the
+  // die count (DESIGN.md §15).
+  CampaignSpec spec = sweep_spec();
+  spec.shard_dies = 1;
   ThreadPool pool(4);
   std::vector<std::uint64_t> jobs;
   CampaignRunOptions opts;
@@ -266,48 +331,58 @@ TEST_F(CampaignFixture, OnRecordStreamsInJobOrder) {
   for (std::size_t i = 0; i < jobs.size(); ++i) EXPECT_EQ(jobs[i], i);
   EXPECT_EQ(stats.records_emitted, jobs.size());
   EXPECT_GE(stats.peak_pending_shards, 1u);
+  EXPECT_LE(stats.peak_pending_shards, 64u);
 }
 
 // ---- streaming + checkpoint/resume ----------------------------------------
 
+/// A campaign killed at its halfway job and resumed on a pool must
+/// reproduce the uninterrupted report AND NDJSON stream bytes — on the
+/// flat tier and on the Triage tier, whose checkpoint records carry the
+/// triage tallies across the kill/resume boundary.
 TEST_F(CampaignFixture, ResumedCampaignIsByteIdenticalToUninterrupted) {
-  CampaignSpec spec = tiny_spec();
-  spec.wafers_per_cell = 1;
-  const std::string full_path = temp_path("campaign_full.ndjson");
-  const std::string cut_path = temp_path("campaign_cut.ndjson");
+  CampaignSpec flat = tiny_spec();
+  flat.wafers_per_cell = 1;
+  CampaignSpec triage = sweep_spec();
+  triage.base.tier = EvalTier::Triage;
+  for (const CampaignSpec& spec : {flat, triage}) {
+    SCOPED_TRACE(eval_tier_name(spec.base.tier));
+    const std::string full_path = temp_path("campaign_full.ndjson");
+    const std::string cut_path = temp_path("campaign_cut.ndjson");
 
-  CampaignRunOptions opts;
-  opts.stream_path = full_path;
-  const CampaignReport uninterrupted = runner_->run(spec, opts);
-  EXPECT_TRUE(uninterrupted.complete());
+    CampaignRunOptions opts;
+    opts.stream_path = full_path;
+    const CampaignReport uninterrupted = runner_->run(spec, opts);
+    EXPECT_TRUE(uninterrupted.complete());
 
-  // "Kill" mid-campaign, then resume on a pool (the resumed half may run
-  // on any schedule — bytes must not care).
-  CampaignRunOptions cut;
-  cut.stream_path = cut_path;
-  cut.stop_after_jobs = uninterrupted.jobs_total / 2;
-  CampaignRunStats cut_stats;
-  cut.stats = &cut_stats;
-  const CampaignReport partial = runner_->run(spec, cut);
-  EXPECT_FALSE(partial.complete());
-  EXPECT_EQ(partial.jobs_done, uninterrupted.jobs_total / 2);
-  EXPECT_EQ(cut_stats.jobs_run, uninterrupted.jobs_total / 2);
+    // "Kill" mid-campaign, then resume on a pool (the resumed half may
+    // run on any schedule — bytes must not care).
+    CampaignRunOptions cut;
+    cut.stream_path = cut_path;
+    cut.stop_after_jobs = uninterrupted.jobs_total / 2;
+    CampaignRunStats cut_stats;
+    cut.stats = &cut_stats;
+    const CampaignReport partial = runner_->run(spec, cut);
+    EXPECT_FALSE(partial.complete());
+    EXPECT_EQ(partial.jobs_done, uninterrupted.jobs_total / 2);
+    EXPECT_EQ(cut_stats.jobs_run, uninterrupted.jobs_total / 2);
 
-  ThreadPool pool(2);
-  CampaignRunOptions resume;
-  resume.stream_path = cut_path;
-  resume.resume = true;
-  resume.pool = &pool;
-  CampaignRunStats resume_stats;
-  resume.stats = &resume_stats;
-  const CampaignReport resumed = runner_->run(spec, resume);
-  EXPECT_TRUE(resumed.complete());
-  EXPECT_EQ(resume_stats.jobs_resumed, uninterrupted.jobs_total / 2);
+    ThreadPool pool(2);
+    CampaignRunOptions resume;
+    resume.stream_path = cut_path;
+    resume.resume = true;
+    resume.pool = &pool;
+    CampaignRunStats resume_stats;
+    resume.stats = &resume_stats;
+    const CampaignReport resumed = runner_->run(spec, resume);
+    EXPECT_TRUE(resumed.complete());
+    EXPECT_EQ(resume_stats.jobs_resumed, uninterrupted.jobs_total / 2);
 
-  EXPECT_EQ(report_bytes(resumed), report_bytes(uninterrupted));
-  EXPECT_EQ(file_bytes(cut_path), file_bytes(full_path));
-  std::remove(full_path.c_str());
-  std::remove(cut_path.c_str());
+    EXPECT_EQ(report_bytes(resumed), report_bytes(uninterrupted));
+    EXPECT_EQ(file_bytes(cut_path), file_bytes(full_path));
+    std::remove(full_path.c_str());
+    std::remove(cut_path.c_str());
+  }
 }
 
 TEST_F(CampaignFixture, ResumeRecoversFromTornTail) {

@@ -15,7 +15,9 @@
 #include <vector>
 
 #include "campaign/campaign.hpp"
+#include "campaign/checkpoint.hpp"
 #include "io/campaign_writers.hpp"
+#include "io/yield_writers.hpp"
 #include "netlist/buffering.hpp"
 #include "netlist/sizing.hpp"
 #include "vi/flow.hpp"
@@ -256,6 +258,108 @@ TEST_F(PortfolioFixture, ZeroStrengthPolicyMatchesPrePortfolioBits) {
     EXPECT_EQ(a.fmax_ghz, b.fmax_ghz);
     EXPECT_EQ(a.total_mw, b.total_mw);
     EXPECT_EQ(a.leakage_mw, b.leakage_mw);
+  }
+}
+
+// ---- determinism of every mix on compiled netlists -------------------------
+
+/// The four Pareto mixes of EXPERIMENTS.md E13 on the 44-die wafer at 8
+/// samples: each mix's CSV+JSON report is byte-identical across thread
+/// counts, reducing the wafer in shards of 7, 19 or 44 dies merges to the
+/// same checkpoint record, and the vi-only mix reproduces the
+/// pre-portfolio YieldAnalyzer::from_flow path bit for bit.
+TEST_F(PortfolioFixture, EveryMixIsThreadAndShardInvariant) {
+  WaferConfig wc;
+  wc.wafer_diameter_mm = 130.0;
+  const WaferModel wafer(wc);
+  ASSERT_EQ(wafer.num_dies(), 44u);
+  YieldConfig yc;
+  yc.mc.samples = 8;
+  yc.mc.profile = DrawProfile::BatchedSimd;
+
+  const auto make_mix = [](const char* name, bool sizing, bool buffering) {
+    PolicyMix m;
+    m.name = name;
+    m.sizing.enabled = sizing;
+    m.sizing.min_crit_prob = 0.02;
+    m.sizing.max_upsized = 64;
+    m.buffering.enabled = buffering;
+    m.buffering.min_crit_prob = 0.02;
+    m.buffering.max_nets = 16;
+    return m;
+  };
+  const auto report_bytes = [&](const YieldReport& r) {
+    std::ostringstream os;
+    write_yield_csv(os, wafer, r);
+    write_yield_json(os, r);
+    return os.str();
+  };
+  const auto die_bits = [](const YieldReport& r) {
+    std::ostringstream os;
+    os << std::hexfloat;
+    for (const DieOutcome& d : r.dies) {
+      os << d.die_id << ' ' << d.mc_severity << ' ' << d.mc_samples << ' '
+         << static_cast<int>(d.mc_stop) << ' ' << d.detected_severity << ' '
+         << d.islands_raised << ' ' << static_cast<int>(d.policy) << ' '
+         << d.timing_met << ' ' << d.escalated << ' ' << d.missed_violation
+         << ' ' << d.wns_all_low_ns << ' ' << d.wns_final_ns << ' '
+         << d.fmax_ghz << ' ' << d.total_mw << ' ' << d.leakage_mw << '\n';
+    }
+    return os.str();
+  };
+
+  ThreadPool one(1), two(2), four(4);
+  for (const PolicyMix& mix :
+       {make_mix("vi-only", false, false), make_mix("sizing+vi", true, false),
+        make_mix("buffering+vi", false, true),
+        make_mix("sizing+buffering+vi", true, true)}) {
+    SCOPED_TRACE(mix.name);
+    const CompiledPolicy cp =
+        compile_policy_mix(mix, flow_->design(), flow_->sta(),
+                           flow_->variation(), flow_->activity());
+    YieldAnalyzer analyzer(
+        cp.design_or(flow_->design()), cp.sta_or(flow_->sta()),
+        flow_->variation(), flow_->island_plan(), flow_->razor_plan(),
+        cp.activity_or(flow_->activity()),
+        1.0 / flow_->post_shifter_clock_ns());
+    analyzer.set_portfolio(cp.stats);
+
+    const YieldReport serial = analyzer.analyze(wafer, yc, nullptr);
+    const std::string reference = report_bytes(serial);
+    for (ThreadPool* pool : {&one, &two, &four}) {
+      EXPECT_EQ(report_bytes(analyzer.analyze(wafer, yc, pool)), reference)
+          << pool->size() << " threads";
+    }
+
+    const auto shard_record = [&](std::size_t shard_dies) {
+      YieldWorker worker(analyzer);
+      ShardRecord rec;
+      rec.die_end = wafer.num_dies();
+      for (std::size_t b = 0; b < wafer.num_dies(); b += shard_dies) {
+        const std::size_t e = std::min(wafer.num_dies(), b + shard_dies);
+        YieldAggregate part = analyzer.analyze_shard(worker, wafer, yc, b, e);
+        if (b == 0) {
+          rec.agg = std::move(part);
+        } else {
+          rec.agg.merge(part);
+        }
+      }
+      return serialize_shard_record(rec);
+    };
+    const std::string whole = shard_record(wafer.num_dies());
+    for (const std::size_t shard : {std::size_t{7}, std::size_t{19}}) {
+      EXPECT_EQ(shard_record(shard), whole) << "shard size " << shard;
+    }
+
+    if (!cp.transformed()) {
+      const YieldReport pre =
+          YieldAnalyzer::from_flow(*flow_).analyze(wafer, yc, nullptr);
+      std::ostringstream a, b;
+      write_yield_csv(a, wafer, pre);
+      write_yield_csv(b, wafer, serial);
+      EXPECT_EQ(a.str(), b.str());
+      EXPECT_EQ(die_bits(pre), die_bits(serial));
+    }
   }
 }
 

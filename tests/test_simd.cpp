@@ -255,7 +255,7 @@ TEST(SimdKernels, NormalsSimdPrefixStableAndEmptyConsumes) {
     EXPECT_EQ(small[i], big[i]) << i;
   }
   // An empty span still advances the two parent draws (so surrounding
-  // draws stay aligned with Rng::normals' contract).
+  // draws stay aligned whatever the fill length).
   Rng c(0x22ULL), d(0x22ULL);
   std::vector<double> none;
   c.normals_simd(none);
@@ -301,8 +301,9 @@ TEST(SimdKernels, NormalsSimdMatchesLibmReferenceAndMoments) {
 }
 
 // End-to-end: the BatchedSimd profile is invariant across dispatch
-// targets, batch widths and thread counts, and pinning a target never
-// perturbs the Batched profile (the relax/table kernels are transparent).
+// targets, batch widths and thread counts, and on every pinned target a
+// Scalar-profile batch-8 run (analyze_batch through the dispatched relax
+// kernel) is bit-identical to the batch-1 analyze() reference.
 TEST(SimdMc, BatchedSimdProfileInvariance) {
   Library lib = make_st65lp_like();
   Design design = make_vex_design(lib, VexConfig::tiny());
@@ -322,8 +323,7 @@ TEST(SimdMc, BatchedSimdProfileInvariance) {
   cfg.profile = DrawProfile::BatchedSimd;
   cfg.batch = 8;
 
-  const McResult ref = mc.run(loc, cfg);
-  const auto same = [&](const McResult& r) {
+  const auto same = [](const McResult& r, const McResult& ref) {
     ASSERT_EQ(r.min_period_samples, ref.min_period_samples);
     ASSERT_EQ(r.endpoint_crit_prob, ref.endpoint_crit_prob);
     ASSERT_EQ(r.endpoint_stage_crit, ref.endpoint_stage_crit);
@@ -331,26 +331,26 @@ TEST(SimdMc, BatchedSimdProfileInvariance) {
       ASSERT_EQ(r.stages[s].samples, ref.stages[s].samples) << s;
     }
   };
+  const McResult ref = mc.run(loc, cfg);
 
   McConfig wide = cfg;
   wide.batch = 16;
-  same(mc.run(loc, wide));
+  same(mc.run(loc, wide), ref);
   ThreadPool pool(2);
-  same(mc.run(loc, cfg, &pool));
+  same(mc.run(loc, cfg, &pool), ref);
 
-  McConfig batched = cfg;
-  batched.profile = DrawProfile::Batched;
-  const McResult batched_ref = mc.run(loc, batched);
-  // BatchedSimd is a DIFFERENT stream than Batched by design.
-  EXPECT_NE(ref.min_period_samples, batched_ref.min_period_samples);
+  McConfig scalar = cfg;
+  scalar.profile = DrawProfile::Scalar;
+  scalar.batch = 1;
+  const McResult scalar_ref = mc.run(loc, scalar);
+  scalar.batch = 8;
 
   ArchGuard guard;
   for (const simd::Arch a : simd::available_archs()) {
     ASSERT_TRUE(simd::set_arch(a));
-    same(mc.run(loc, cfg));
-    const McResult b = mc.run(loc, batched);
-    ASSERT_EQ(b.min_period_samples, batched_ref.min_period_samples)
-        << "Batched profile not transparent on " << simd::arch_name(a);
+    SCOPED_TRACE(simd::arch_name(a));
+    same(mc.run(loc, cfg), ref);
+    same(mc.run(loc, scalar), scalar_ref);
   }
 }
 

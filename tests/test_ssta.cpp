@@ -10,6 +10,7 @@
 #include <cmath>
 #include <numbers>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "io/yield_writers.hpp"
@@ -276,16 +277,28 @@ TEST_F(SstaFixture, AnalyticalVerdictSkipsMcAndKeepsSiliconBits) {
 TEST_F(SstaFixture, TriageVerdictsAgreeWithFlatMcAcrossSeeds) {
   // Yield-verdict agreement: on analytically decided dies, the analytic
   // severity may disagree with full MC at most at the band's stated
-  // error rate (the allowance bench/wafer_yield gates, with headroom for
-  // discreteness on small wafers).
-  const WaferModel wafer(test_wafer_config());
-  const YieldAnalyzer analyzer = YieldAnalyzer::from_flow(*flow_);
+  // error rate with 3x headroom (for discreteness on small wafers).  The
+  // last input is the full 300 mm wafer at the default YieldConfig seed
+  // and 24 samples on the BatchedSimd profile.
+  struct Input {
+    WaferConfig wafer;
+    YieldConfig cfg;
+  };
+  std::vector<Input> inputs;
   for (const std::uint64_t seed : {0xd1e5ull, 0xabc123ull}) {
-    YieldConfig off = triage_off_config();
-    off.seed = seed;
-    YieldConfig on = off;
+    inputs.push_back({test_wafer_config(), triage_off_config()});
+    inputs.back().cfg.seed = seed;
+  }
+  inputs.push_back({WaferConfig{}, YieldConfig{}});
+  inputs.back().cfg.mc.samples = 24;
+  inputs.back().cfg.mc.profile = DrawProfile::BatchedSimd;
+
+  const YieldAnalyzer analyzer = YieldAnalyzer::from_flow(*flow_);
+  for (const Input& in : inputs) {
+    const WaferModel wafer(in.wafer);
+    YieldConfig on = in.cfg;
     on.tier = EvalTier::Triage;
-    const YieldReport flat = analyzer.analyze(wafer, off);
+    const YieldReport flat = analyzer.analyze(wafer, in.cfg);
     const YieldReport triaged = analyzer.analyze(wafer, on);
     ASSERT_EQ(flat.dies.size(), triaged.dies.size());
     std::size_t decided = 0, mismatched = 0;
@@ -296,10 +309,13 @@ TEST_F(SstaFixture, TriageVerdictsAgreeWithFlatMcAcrossSeeds) {
         ++mismatched;
       }
     }
-    EXPECT_GT(decided, 0u) << "seed " << seed;
+    const std::string label = std::to_string(wafer.num_dies()) +
+                              " dies, seed " + std::to_string(in.cfg.seed);
+    EXPECT_GT(decided, 0u) << label;
     const double allowed = std::ceil(
         3.0 * (1.0 - on.triage.confidence) * static_cast<double>(decided));
-    EXPECT_LE(static_cast<double>(mismatched), allowed) << "seed " << seed;
+    EXPECT_LE(static_cast<double>(mismatched), allowed) << label;
+    EXPECT_EQ(non_mc_fingerprint(triaged), non_mc_fingerprint(flat)) << label;
   }
 }
 

@@ -326,16 +326,16 @@ TEST_F(McFixture, BitIdenticalAcrossBatchWidths) {
   }
 }
 
-// ---- the Batched draw profile ---------------------------------------------
+// ---- the BatchedSimd draw profile -----------------------------------------
 
-/// Within the Batched profile, thread count and batch width are pure
+/// Within the BatchedSimd profile, thread count and batch width are pure
 /// execution-layout choices, exactly as they are for Scalar: every lane's
 /// bits derive from (seed, global sample index) alone.
 TEST_F(McFixture, BatchedProfileBitIdenticalAcrossThreadsAndWidths) {
   MonteCarloSsta mc(design_, *sta_, *model_);
   McConfig cfg;
   cfg.samples = 60;  // not a multiple of the batch width: ragged tail
-  cfg.profile = DrawProfile::Batched;
+  cfg.profile = DrawProfile::BatchedSimd;
   const McResult ref = mc.run(DieLocation::point('A'), cfg);  // batch 8
   ThreadPool one(1), three(3), eight(8);
   expect_identical(ref, mc.run(DieLocation::point('A'), cfg, &one));
@@ -357,7 +357,7 @@ TEST_F(McFixture, BatchedProfileAgreesWithScalarStatistically) {
   McConfig cfg;
   cfg.samples = 400;
   const McResult scalar = mc.run(DieLocation::point('A'), cfg);
-  cfg.profile = DrawProfile::Batched;
+  cfg.profile = DrawProfile::BatchedSimd;
   const McResult batched = mc.run(DieLocation::point('A'), cfg);
   const int n = cfg.samples;
   for (int s = 0; s < kNumPipeStages; ++s) {
@@ -460,7 +460,7 @@ TEST_F(McFixture, BatchedProfileDeterministicWithCorrelatedField) {
   MonteCarloSsta mc(design_, *sta_, model);
   McConfig cfg;
   cfg.samples = 36;
-  cfg.profile = DrawProfile::Batched;
+  cfg.profile = DrawProfile::BatchedSimd;
   const McResult ref = mc.run(DieLocation::point('A'), cfg);
   ThreadPool pool(5);
   for (int batch : {3, 16}) {
@@ -528,7 +528,7 @@ TEST_F(McFixture, AdaptiveStopBitIdenticalToFixedAtNFuzz) {
     McConfig cfg;
     cfg.seed = fuzz.next();
     cfg.batch = 1 + static_cast<int>(fuzz.below(9));
-    cfg.profile = iter % 2 ? DrawProfile::Batched : DrawProfile::Scalar;
+    cfg.profile = iter % 2 ? DrawProfile::BatchedSimd : DrawProfile::Scalar;
     cfg.adaptive.enabled = true;
     cfg.adaptive.min_samples = 8 + static_cast<int>(fuzz.below(25));
     cfg.adaptive.max_samples = 120 + static_cast<int>(fuzz.below(81));
@@ -670,7 +670,7 @@ TEST_F(McFixture, AdaptiveWideSigmaStageDrawsMoreSamples) {
 
 /// A serial run's caller-owned McScratch carries no state between runs:
 /// one scratch reused across slot maps, budgets, batch widths (wide
-/// before narrow, so stale lanes would show), all three draw profiles
+/// before narrow, so stale lanes would show), both draw profiles
 /// and adaptive stopping yields the bits of fresh runs.
 TEST_F(McFixture, ReusedMcScratchMatchesFreshRuns) {
   MonteCarloSsta mc(design_, *sta_, *model_);
@@ -680,7 +680,7 @@ TEST_F(McFixture, ReusedMcScratchMatchesFreshRuns) {
                               DieLocation::point('D')};
   int run = 0;
   for (const DrawProfile profile :
-       {DrawProfile::Scalar, DrawProfile::Batched, DrawProfile::BatchedSimd}) {
+       {DrawProfile::Scalar, DrawProfile::BatchedSimd}) {
     for (const auto& [samples, batch] :
          {std::pair{40, 16}, std::pair{17, 1}, std::pair{29, 8},
           std::pair{64, 5}}) {
@@ -725,7 +725,7 @@ TEST_F(McFixture, RunWithSystematicMatchesRun) {
   const DieLocation loc = DieLocation::point('C');
   const auto systematic = model_->systematic_lgates(design_, loc);
   expect_identical(mc.run(loc, cfg), mc.run_with_systematic(systematic, cfg));
-  cfg.profile = DrawProfile::Batched;
+  cfg.profile = DrawProfile::BatchedSimd;
   expect_identical(mc.run(loc, cfg), mc.run_with_systematic(systematic, cfg));
 }
 

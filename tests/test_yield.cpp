@@ -442,23 +442,24 @@ TEST_F(YieldFixture, AnalyzeDieWithMatchesAnalyzeDie) {
   }
 }
 
-// The Batched draw profile carries the same determinism-under-
-// parallelism contract as Scalar: identical wafer reports for serial,
-// 1-thread and N-thread runs (within the profile).
+// The BatchedSimd draw profile (the one perfbench runs) carries the same
+// determinism-under-parallelism contract as Scalar: identical wafer
+// reports for serial, 1-, 2- and 4-thread runs (within the profile).
 TEST_F(YieldFixture, BatchedProfileReportBitIdenticalAcrossThreadCounts) {
   const YieldAnalyzer analyzer = YieldAnalyzer::from_flow(*flow_);
   YieldConfig cfg = test_yield_config();
-  cfg.mc.profile = DrawProfile::Batched;
-  const YieldReport serial = analyzer.analyze(*wafer_, cfg, nullptr);
-  ThreadPool one(1);
-  ThreadPool four(4);
-  const YieldReport one_thread = analyzer.analyze(*wafer_, cfg, &one);
-  const YieldReport four_thread = analyzer.analyze(*wafer_, cfg, &four);
-  const std::string reference = serialize(*wafer_, serial);
-  EXPECT_EQ(serialize(*wafer_, one_thread), reference);
-  EXPECT_EQ(serialize(*wafer_, four_thread), reference);
+  cfg.mc.profile = DrawProfile::BatchedSimd;
+  const std::string reference =
+      serialize(*wafer_, analyzer.analyze(*wafer_, cfg, nullptr));
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    ThreadPool pool(threads);
+    EXPECT_EQ(serialize(*wafer_, analyzer.analyze(*wafer_, cfg, &pool)),
+              reference)
+        << threads << " threads";
+  }
   // Distinct stream from the Scalar profile by design (compared
-  // statistically in bench/mc_ssta, not bit-wise here).
+  // statistically in McFixture.BatchedProfileAgreesWithScalarStatistically,
+  // not bit-wise here).
   EXPECT_NE(reference, serialize(*wafer_, *report_));
 }
 
