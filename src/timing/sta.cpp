@@ -192,6 +192,7 @@ void StaEngine::build_graph() {
 
 void StaEngine::compute_base(std::span<const int> domain_corner) {
   const Design& d = *design_;
+  ++base_gen_.value;
 
   for (InstId i = 0; i < d.num_instances(); ++i) {
     const DomainId dom = d.instance(i).domain;
@@ -435,6 +436,7 @@ void StaEngine::restore_bases(const BaseSnapshot& snap) {
       snap.inst_corner.size() != inst_corner_.size()) {
     throw std::invalid_argument("restore_bases: snapshot/graph mismatch");
   }
+  ++base_gen_.value;
   for (std::size_t ei = 0; ei < edges_.size(); ++ei) {
     edges_[ei].base_delay = snap.edge_base[ei];
   }

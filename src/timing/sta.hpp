@@ -145,6 +145,13 @@ class StaEngine {
   BaseSnapshot snapshot_bases() const;
   void restore_bases(const BaseSnapshot& snap);
 
+  /// Counts the rewrites of the base delays and corner map: every
+  /// compute_base() and restore_bases() advances it, and so does
+  /// assigning another engine over this one.  Bases recorded together
+  /// with the generation are still installed exactly when the generation
+  /// is unchanged (the compensation controller's restore skip).
+  std::uint64_t base_generation() const { return base_gen_.value; }
+
   /// Batched analysis where every lane has its OWN base delays: lane b
   /// evaluates bases[b] (a snapshot of some compute_base()) scaled by
   /// inst_factor[b] (empty = nominal).  results[b] is bit-identical to
@@ -257,6 +264,19 @@ class StaEngine {
   std::vector<double> endpoint_setup_;
   std::vector<int> inst_corner_;
   std::vector<float> net_load_;  // pin caps + wire cap per net [pF]
+
+  /// Strictly increasing per engine: a copy starts at its source's
+  /// value, an assignment moves past both engines' values.
+  struct BaseGeneration {
+    std::uint64_t value = 0;
+    BaseGeneration() = default;
+    BaseGeneration(const BaseGeneration&) = default;
+    BaseGeneration& operator=(const BaseGeneration& o) {
+      value = (value > o.value ? value : o.value) + 1;
+      return *this;
+    }
+  };
+  BaseGeneration base_gen_;
 
   // Scratch reused across analyze() calls (sized once).
   mutable std::vector<double> arrival_;

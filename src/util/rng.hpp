@@ -136,6 +136,15 @@ class Rng {
   /// simd/dispatch.cpp.
   void normals_simd(std::span<double> out) noexcept;
 
+  /// The two parent draws normals_simd consumes: the keys of its counter
+  /// streams.  A caller that fills a stream in ranges (the tiled
+  /// BatchedSimd draw) takes the keys once and passes them to the
+  /// dispatched normals_fill kernel per range.
+  struct NormalKeys {
+    std::uint64_t r, t;
+  };
+  NormalKeys normal_keys() noexcept { return {next(), next()}; }
+
   /// Derive an independent child generator (for per-sample streams).
   /// The child's 256-bit state is built from a fresh splitmix64 stream
   /// keyed by TWO parent draws, not from a single XOR-perturbed draw:

@@ -173,10 +173,10 @@ namespace vipvt {
 void Rng::normals_simd(std::span<double> out) noexcept {
   // The two parent draws happen regardless of the request size, keeping
   // downstream streams length-independent.
-  const std::uint64_t key_r = next();
-  const std::uint64_t key_t = next();
+  const NormalKeys keys = normal_keys();
   if (out.empty()) return;
-  simd::active_kernels().normals_fill(key_r, key_t, out.data(), out.size());
+  simd::active_kernels().normals_fill(keys.r, keys.t, out.data(), 0,
+                                      out.size());
 }
 
 }  // namespace vipvt

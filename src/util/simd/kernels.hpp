@@ -51,24 +51,35 @@ using RelaxEdgesDelaysFn = void (*)(const RelaxEdge* edges,
                                     const double* delay_soa,
                                     double* arrival_soa, std::size_t width);
 
-/// Batched DelayFactorTables row interpolation (model draw transform):
-/// for instance i, lane l:
-///   lg = sys[i] + eps[l * n + i]              (eps is lane-major)
-///   out[i * width + l] = eval_row(coef + rows[i] * row_stride, lg)
+/// One draw tile through the DelayFactorTables rows (model draw transform):
+/// for instance i < m and lane l < width,
+///   lg = sys[i] + eps[l * eps_stride + i]     (eps is lane-major)
+///   out[i * width + l] = eval_row(coef + row_off[i], lg)
 /// reproducing DelayFactorTables::eval_row bit-for-bit (tables.hpp).
-using DrawTransformFn = void (*)(const double* coef, std::int32_t row_stride,
-                                 double lo, double step, double inv_step,
-                                 std::int32_t intervals,
-                                 const std::int32_t* rows, const double* sys,
-                                 const double* eps, double* out,
-                                 std::size_t n, std::size_t width);
+/// Vectors run along instances (contiguous eps/sys loads, one
+/// coefficient-gather pair with per-instance row offsets) and a W x W
+/// register transpose turns them into out's instance-major rows.
+using DrawTransformFn = void (*)(const double* coef,
+                                 const std::int32_t* row_off, double lo,
+                                 double step, double inv_step,
+                                 std::int32_t intervals, const double* sys,
+                                 const double* eps, std::size_t eps_stride,
+                                 double* out, std::size_t m,
+                                 std::size_t width);
 
-/// Counter-driven bulk Box–Muller fill for Rng::normals_simd (128-pair
-/// blocks, prefix-stable); the log/sin/cos run through the layer's own
-/// vector math so the output bits are identical across ISAs, compilers
-/// and build flags.
+/// Counter-driven bulk Box–Muller fill behind Rng::normals_simd: writes
+/// elements [begin, end) of the stream keyed by (key_r, key_t) to
+/// out[0, end - begin).  Element i is a function of (keys, i) alone, so
+/// any range equals the same slice of a full fill.  The log/sin/cos run
+/// through the layer's own vector math so the output bits are identical
+/// across ISAs, compilers and build flags.
 using NormalsFillFn = void (*)(std::uint64_t key_r, std::uint64_t key_t,
-                               double* out, std::size_t n);
+                               double* out, std::size_t begin,
+                               std::size_t end);
+
+/// Elements per Box–Muller block (128 pairs): the unit normals_fill walks
+/// a range in, and the draw tile of VariationModel's batched draw.
+inline constexpr std::size_t kNormalsBlock = 256;
 
 struct Kernels {
   RelaxEdgesFn relax_edges = nullptr;

@@ -28,17 +28,17 @@ void relax_delays(const RelaxEdge* edges, std::size_t num_edges,
   relax_edges_delays_body<P>(edges, num_edges, delay_soa, arrival_soa, width);
 }
 
-void transform(const double* coef, std::int32_t row_stride, double lo,
+void transform(const double* coef, const std::int32_t* row_off, double lo,
                double step, double inv_step, std::int32_t intervals,
-               const std::int32_t* rows, const double* sys, const double* eps,
-               double* out, std::size_t n, std::size_t width) {
-  draw_transform_body<P>(coef, row_stride, lo, step, inv_step, intervals,
-                         rows, sys, eps, out, n, width);
+               const double* sys, const double* eps, std::size_t eps_stride,
+               double* out, std::size_t m, std::size_t width) {
+  draw_transform_body<P>(coef, row_off, lo, step, inv_step, intervals, sys,
+                         eps, eps_stride, out, m, width);
 }
 
 void normals(std::uint64_t key_r, std::uint64_t key_t, double* out,
-             std::size_t n) {
-  normals_fill_body<P>(key_r, key_t, out, n);
+             std::size_t begin, std::size_t end) {
+  normals_fill_body<P>(key_r, key_t, out, begin, end);
 }
 
 }  // namespace

@@ -191,101 +191,141 @@ inline void relax_edges_delays_body(const RelaxEdge* edges,
   }
 }
 
-/// Batched DelayFactorTables row interpolation: reproduces
-/// DelayFactorTables::eval_row (tables.hpp) lane-by-lane:
+/// One draw tile through the DelayFactorTables rows: reproduces
+/// DelayFactorTables::eval_row (tables.hpp) for every (instance, lane):
 ///   x = (lg - lo) * inv_step; clamp below at 0; j = trunc; clamp above;
-///   t = lg - (lo + j*step); out = c[2j] + c[2j+1]*t
-/// eps is lane-major [width x n] (stride n between lanes of one instance),
-/// out is instance-major [n x width].
+///   t = lg - (lo + j*step); out = c[2j] + c[2j+1]*t,  c = coef + row_off[i]
+/// Vectors run along W instances of one lane, so eps and sys load
+/// contiguously; W lanes' vectors are transposed in registers into W
+/// instance rows of out (instance-major [m x width]).  Lanes beyond the
+/// last full W-group keep the instance vector and store element-wise;
+/// instances beyond the last full W-group run through ScalarPolicy.
 template <class P>
-inline void draw_transform_body(const double* coef, std::int32_t row_stride,
-                                double lo, double step, double inv_step,
-                                std::int32_t intervals,
-                                const std::int32_t* rows, const double* sys,
-                                const double* eps, double* out, std::size_t n,
+inline void draw_transform_body(const double* coef,
+                                const std::int32_t* row_off, double lo,
+                                double step, double inv_step,
+                                std::int32_t intervals, const double* sys,
+                                const double* eps, std::size_t eps_stride,
+                                double* out, std::size_t m,
                                 std::size_t width) {
   using S = ScalarPolicy;
-  std::int32_t idx[P::W];  // eps lane offsets for the strided gather
-  for (std::size_t k = 0; k < P::W; ++k)
-    idx[k] = static_cast<std::int32_t>(k * n);
-  const typename P::D vlo = P::bcast(lo);
-  const typename P::D vstep = P::bcast(step);
-  const typename P::D vinv = P::bcast(inv_step);
-  const typename P::D vzero = P::bcast(0.0);
-  const typename P::D vimax = P::bcast(static_cast<double>(intervals - 1));
+  using D = typename P::D;
+  constexpr std::size_t W = P::W;
+  const D vlo = P::bcast(lo);
+  const D vstep = P::bcast(step);
+  const D vinv = P::bcast(inv_step);
+  const D vzero = P::bcast(0.0);
+  const D vimax = P::bcast(static_cast<double>(intervals - 1));
   const double imax = static_cast<double>(intervals - 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* rc = coef + static_cast<std::size_t>(rows[i]) * row_stride;
-    const typename P::D vsys = P::bcast(sys[i]);
-    double* o = out + i * width;
+  // Factors of instances [i, i + W) in lane l.
+  const auto eval = [&](std::size_t i, std::size_t l) {
+    const D lg = P::add(P::load(sys + i), P::load(eps + l * eps_stride + i));
+    D x = P::mul(P::sub(lg, vlo), vinv);
+    x = P::max(x, vzero);
+    D jd = P::trunc_nonneg(x);
+    jd = P::min(jd, vimax);
+    const D t = P::sub(lg, P::add(vlo, P::mul(jd, vstep)));
+    D c0, c1;
+    P::gather_rows(coef, row_off + i, jd, c0, c1);
+    return P::add(c0, P::mul(c1, t));
+  };
+  std::size_t i = 0;
+  for (; i + W <= m; i += W) {
     std::size_t l = 0;
-    for (; l + P::W <= width; l += P::W) {
-      const typename P::D lg = P::add(vsys, P::gather_idx(eps + l * n + i, idx));
-      typename P::D x = P::mul(P::sub(lg, vlo), vinv);
-      x = P::max(x, vzero);
-      typename P::D jd = P::trunc_nonneg(x);
-      jd = P::min(jd, vimax);
-      const typename P::D t = P::sub(lg, P::add(vlo, P::mul(jd, vstep)));
-      typename P::D c0, c1;
-      P::gather_pair(rc, jd, c0, c1);
-      P::store(o + l, P::add(c0, P::mul(c1, t)));
+    for (; l + W <= width; l += W) {
+      D r[W];
+      for (std::size_t q = 0; q < W; ++q) r[q] = eval(i, l + q);
+      P::transpose(r);
+      for (std::size_t k = 0; k < W; ++k) {
+        P::store(out + (i + k) * width + l, r[k]);
+      }
     }
     for (; l < width; ++l) {
-      const double lg = S::add(sys[i], eps[l * n + i]);
+      alignas(64) double v[W];
+      P::store(v, eval(i, l));
+      for (std::size_t k = 0; k < W; ++k) out[(i + k) * width + l] = v[k];
+    }
+  }
+  for (; i < m; ++i) {
+    for (std::size_t l = 0; l < width; ++l) {
+      const double lg = S::add(sys[i], eps[l * eps_stride + i]);
       double x = S::mul(S::sub(lg, lo), inv_step);
       x = S::max(x, 0.0);
       double jd = S::trunc_nonneg(x);
       jd = S::min(jd, imax);
       const double t = S::sub(lg, S::add(lo, S::mul(jd, step)));
       double c0, c1;
-      S::gather_pair(rc, jd, c0, c1);
-      o[l] = S::add(c0, S::mul(c1, t));
+      S::gather_rows(coef, row_off + i, jd, c0, c1);
+      out[i * width + l] = S::add(c0, S::mul(c1, t));
     }
   }
 }
 
-/// Counter-driven bulk Box–Muller fill (Rng::normals_simd engine): fixed
-/// 128-pair blocks, each evaluated in full even when the request ends
-/// inside it, so counter k is always computed at block k/128, lane k%128
-/// and prefixes stay bit-stable; interleaved (cos, sin) output, odd tail
-/// keeps only the cosine branch.  Counter generation stays scalar
-/// (splitmix64 is cheap); the log/sqrt/sincos run through the policy, and
-/// 128 % W == 0 for every policy so blocks never need a remainder lane.
+/// Box–Muller pairs [p_lo, p_hi) of block `blk` (pairs blk*128 + j) of
+/// the counter stream keyed by (key_r, key_t): radius and (cos, sin) into
+/// rad/zc/zs[j].  The range widens to whole W-vectors; every op is
+/// lane-wise, so a pair's bits never depend on which range computed it.
+/// Counter generation stays scalar (splitmix64 is cheap); the
+/// log/sqrt/sincos run through the policy, and 128 % W == 0 for every
+/// policy so a block never needs a remainder lane.
+template <class P>
+inline void box_muller_pairs(std::uint64_t key_r, std::uint64_t key_t,
+                             std::size_t blk, std::size_t p_lo,
+                             std::size_t p_hi, double* rad, double* zc,
+                             double* zs) {
+  constexpr std::size_t kPairs = kNormalsBlock / 2;
+  static_assert(kPairs % P::W == 0);
+  constexpr double kTwoPi = 6.283185307179586476925286766559;
+  alignas(64) double u1[kPairs], ang[kPairs];
+  const std::size_t lo = p_lo / P::W * P::W;
+  const std::size_t hi = (p_hi + P::W - 1) / P::W * P::W;
+  for (std::size_t j = lo; j < hi; ++j) {
+    const auto i = static_cast<std::uint64_t>(blk * kPairs + j);
+    // u1 in (0, 1]: 53-bit mantissa + 1, scaled by 2^-53
+    u1[j] = (static_cast<double>(Rng::counter_bits(key_r, i) >> 11) + 1.0) *
+            0x1.0p-53;
+    ang[j] = kTwoPi * (static_cast<double>(Rng::counter_bits(key_t, i) >> 11) *
+                       0x1.0p-53);
+  }
+  for (std::size_t j = lo; j < hi; j += P::W) {
+    P::store(rad + j,
+             P::sqrt(P::mul(P::bcast(-2.0), v_log<P>(P::load(u1 + j)))));
+    typename P::D s, c;
+    v_sincos<P>(P::load(ang + j), s, c);
+    P::store(zc + j, c);
+    P::store(zs + j, s);
+  }
+}
+
+/// Counter-driven bulk Box–Muller fill (Rng::normals_simd engine):
+/// elements [begin, end) of the stream into out[0, end - begin).  Element
+/// 2p is pair p's cosine deviate and 2p + 1 its sine deviate, so every
+/// element is a function of (keys, index) alone: any range is the same
+/// slice of a full fill, and an odd-length fill drops the last pair's
+/// sine deviate.  Ranges are walked in 128-pair blocks.
 template <class P>
 inline void normals_fill_body(std::uint64_t key_r, std::uint64_t key_t,
-                              double* out, std::size_t n) {
-  constexpr std::size_t kBlock = 128;
-  static_assert(kBlock % P::W == 0);
-  constexpr double kTwoPi = 6.283185307179586476925286766559;
-  const std::size_t pairs = n / 2;          // full (cos, sin) pairs
-  const std::size_t total = (n + 1) / 2;    // pairs incl. a possible odd tail
-  alignas(64) double u1[kBlock], ang[kBlock], rad[kBlock];
-  alignas(64) double zc[kBlock], zs[kBlock];
-  for (std::size_t base = 0; base < total; base += kBlock) {
-    for (std::size_t j = 0; j < kBlock; ++j) {
-      const std::uint64_t i = static_cast<std::uint64_t>(base + j);
-      // u1 in (0, 1]: 53-bit mantissa + 1, scaled by 2^-53
-      u1[j] = (static_cast<double>(Rng::counter_bits(key_r, i) >> 11) + 1.0) *
-              0x1.0p-53;
-      ang[j] = kTwoPi * (static_cast<double>(Rng::counter_bits(key_t, i) >> 11) *
-                         0x1.0p-53);
+                              double* out, std::size_t begin,
+                              std::size_t end) {
+  constexpr std::size_t kPairs = kNormalsBlock / 2;
+  alignas(64) double rad[kPairs], zc[kPairs], zs[kPairs];
+  for (std::size_t blk = begin / kNormalsBlock; blk * kNormalsBlock < end;
+       ++blk) {
+    const std::size_t b0 = blk * kNormalsBlock;
+    const std::size_t hi = end < b0 + kNormalsBlock ? end : b0 + kNormalsBlock;
+    std::size_t i = begin > b0 ? begin : b0;
+    box_muller_pairs<P>(key_r, key_t, blk, (i - b0) / 2, (hi - b0 + 1) / 2,
+                        rad, zc, zs);
+    if ((i & 1u) != 0 && i < hi) {  // a range starting on a sine deviate
+      out[i - begin] = rad[(i - b0) / 2] * zs[(i - b0) / 2];
+      ++i;
     }
-    for (std::size_t j = 0; j < kBlock; j += P::W) {
-      const typename P::D u = P::load(u1 + j);
-      P::store(rad + j,
-               P::sqrt(P::mul(P::bcast(-2.0), v_log<P>(u))));
-      typename P::D s, c;
-      v_sincos<P>(P::load(ang + j), s, c);
-      P::store(zc + j, c);
-      P::store(zs + j, s);
+    for (; i + 1 < hi; i += 2) {
+      const std::size_t p = (i - b0) / 2;
+      out[i - begin] = rad[p] * zc[p];
+      out[i + 1 - begin] = rad[p] * zs[p];
     }
-    const std::size_t limit = pairs < base + kBlock ? pairs : base + kBlock;
-    for (std::size_t p = base; p < limit; ++p) {
-      out[2 * p] = rad[p - base] * zc[p - base];
-      out[2 * p + 1] = rad[p - base] * zs[p - base];
-    }
-    if ((n & 1u) != 0 && total <= base + kBlock && total > base)
-      out[n - 1] = rad[total - 1 - base] * zc[total - 1 - base];
+    if (i < hi) out[i - begin] = rad[(i - b0) / 2] * zc[(i - b0) / 2];
   }
 }
 

@@ -17,8 +17,9 @@
 // which is exactly the x86 MAXPD/MINPD definition with a as SRC1 — and also
 // exactly std::max(b, a) — so the same kernel template instantiated at any
 // width produces per-lane identical bits.  trunc_nonneg is exact for
-// inputs in [0, 2^31).  Nothing here may introduce FMA contraction: the
-// per-ISA TUs compile with -ffp-contract=off and never -mfma.
+// inputs in [0, 2^31); gather_rows and transpose only move values.
+// Nothing here may introduce FMA contraction: the per-ISA TUs compile
+// with -ffp-contract=off and never -mfma.
 //
 // The guarded policies only exist when the TU is compiled with the matching
 // -m flags, so this header is safe to include from any TU.
@@ -90,16 +91,17 @@ struct ScalarPolicy {
   static D mant_half(D x) {
     return detail::double_of((detail::bits_of(x) & kMantMask) | kHalfExp);
   }
-  /// W doubles from base at byte offsets idx[k]*8 (idx precomputed).
-  static D gather_idx(const double* base, const std::int32_t* idx) {
-    return base[idx[0]];
+  /// coef[off[k] + 2j] and coef[off[k] + 2j + 1] for lane k, with the
+  /// lane-wise integral j held in jd and off[0, W) per-lane row offsets.
+  static void gather_rows(const double* coef, const std::int32_t* off, D jd,
+                          D& c0, D& c1) {
+    const std::int32_t k = off[0] + 2 * static_cast<std::int32_t>(jd);
+    c0 = coef[k];
+    c1 = coef[k + 1];
   }
-  /// rc[2j] and rc[2j+1] for the lane-wise integral j held in jd.
-  static void gather_pair(const double* rc, D jd, D& c0, D& c1) {
-    const std::int32_t j = static_cast<std::int32_t>(jd);
-    c0 = rc[2 * j];
-    c1 = rc[2 * j + 1];
-  }
+  /// In-register W x W transpose: afterwards r[k] holds element k of
+  /// every input vector, in input order.
+  static void transpose(D (&)[W]) {}
 };
 
 #if defined(__SSE2__)
@@ -146,15 +148,19 @@ struct Sse2Policy {
     u = _mm_or_si128(u, _mm_set1_epi64x(static_cast<long long>(kHalfExp)));
     return _mm_castsi128_pd(u);
   }
-  static D gather_idx(const double* base, const std::int32_t* idx) {
-    return _mm_set_pd(base[idx[1]], base[idx[0]]);
-  }
-  static void gather_pair(const double* rc, D jd, D& c0, D& c1) {
+  static void gather_rows(const double* coef, const std::int32_t* off, D jd,
+                          D& c0, D& c1) {
     const __m128i ji = _mm_cvttpd_epi32(jd);
-    const std::int32_t j0 = _mm_cvtsi128_si32(ji);
-    const std::int32_t j1 = _mm_cvtsi128_si32(_mm_shuffle_epi32(ji, 0x55));
-    c0 = _mm_set_pd(rc[2 * j1], rc[2 * j0]);
-    c1 = _mm_set_pd(rc[2 * j1 + 1], rc[2 * j0 + 1]);
+    const std::int32_t k0 = off[0] + 2 * _mm_cvtsi128_si32(ji);
+    const std::int32_t k1 =
+        off[1] + 2 * _mm_cvtsi128_si32(_mm_shuffle_epi32(ji, 0x55));
+    c0 = _mm_set_pd(coef[k1], coef[k0]);
+    c1 = _mm_set_pd(coef[k1 + 1], coef[k0 + 1]);
+  }
+  static void transpose(D (&r)[W]) {
+    const D t = _mm_unpacklo_pd(r[0], r[1]);
+    r[1] = _mm_unpackhi_pd(r[0], r[1]);
+    r[0] = t;
   }
 };
 #endif  // __SSE2__
@@ -202,15 +208,24 @@ struct Avx2Policy {
                         _mm256_set1_epi64x(static_cast<long long>(kHalfExp)));
     return _mm256_castsi256_pd(u);
   }
-  static D gather_idx(const double* base, const std::int32_t* idx) {
-    const __m128i vi = _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx));
-    return _mm256_i32gather_pd(base, vi, 8);
-  }
-  static void gather_pair(const double* rc, D jd, D& c0, D& c1) {
+  static void gather_rows(const double* coef, const std::int32_t* off, D jd,
+                          D& c0, D& c1) {
     const __m128i ji = _mm256_cvttpd_epi32(jd);
-    const __m128i j2 = _mm_add_epi32(ji, ji);
-    c0 = _mm256_i32gather_pd(rc, j2, 8);
-    c1 = _mm256_i32gather_pd(rc, _mm_add_epi32(j2, _mm_set1_epi32(1)), 8);
+    const __m128i k = _mm_add_epi32(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(off)),
+        _mm_add_epi32(ji, ji));
+    c0 = _mm256_i32gather_pd(coef, k, 8);
+    c1 = _mm256_i32gather_pd(coef + 1, k, 8);
+  }
+  static void transpose(D (&r)[W]) {
+    const D t0 = _mm256_unpacklo_pd(r[0], r[1]);  // r0_0 r1_0 r0_2 r1_2
+    const D t1 = _mm256_unpackhi_pd(r[0], r[1]);  // r0_1 r1_1 r0_3 r1_3
+    const D t2 = _mm256_unpacklo_pd(r[2], r[3]);
+    const D t3 = _mm256_unpackhi_pd(r[2], r[3]);
+    r[0] = _mm256_permute2f128_pd(t0, t2, 0x20);
+    r[1] = _mm256_permute2f128_pd(t1, t3, 0x20);
+    r[2] = _mm256_permute2f128_pd(t0, t2, 0x31);
+    r[3] = _mm256_permute2f128_pd(t1, t3, 0x31);
   }
 };
 #endif  // __AVX2__
@@ -259,17 +274,40 @@ struct Avx512Policy {
                         _mm512_set1_epi64(static_cast<long long>(kHalfExp)));
     return _mm512_castsi512_pd(u);
   }
-  static D gather_idx(const double* base, const std::int32_t* idx) {
-    const __m256i vi =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx));
-    return _mm512_i32gather_pd(vi, base, 8);
-  }
-  static void gather_pair(const double* rc, D jd, D& c0, D& c1) {
+  static void gather_rows(const double* coef, const std::int32_t* off, D jd,
+                          D& c0, D& c1) {
     const __m256i ji = _mm512_cvttpd_epi32(jd);
-    const __m256i j2 = _mm256_add_epi32(ji, ji);
-    c0 = _mm512_i32gather_pd(j2, rc, 8);
-    c1 = _mm512_i32gather_pd(_mm256_add_epi32(j2, _mm256_set1_epi32(1)), rc,
-                             8);
+    const __m256i k = _mm256_add_epi32(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(off)),
+        _mm256_add_epi32(ji, ji));
+    c0 = _mm512_i32gather_pd(k, coef, 8);
+    c1 = _mm512_i32gather_pd(k, coef + 1, 8);
+  }
+  static void transpose(D (&r)[W]) {
+    // Pairs of rows interleave within 128-bit blocks, then two rounds of
+    // 128-bit block shuffles (imm 0x88: blocks 0,2 of a then b; 0xdd:
+    // blocks 1,3) gather each column.
+    D t[8];
+    for (int k = 0; k < 8; k += 2) {
+      t[k] = _mm512_unpacklo_pd(r[k], r[k + 1]);
+      t[k + 1] = _mm512_unpackhi_pd(r[k], r[k + 1]);
+    }
+    const D u0 = _mm512_shuffle_f64x2(t[0], t[2], 0x88);
+    const D u1 = _mm512_shuffle_f64x2(t[0], t[2], 0xdd);
+    const D u2 = _mm512_shuffle_f64x2(t[1], t[3], 0x88);
+    const D u3 = _mm512_shuffle_f64x2(t[1], t[3], 0xdd);
+    const D u4 = _mm512_shuffle_f64x2(t[4], t[6], 0x88);
+    const D u5 = _mm512_shuffle_f64x2(t[4], t[6], 0xdd);
+    const D u6 = _mm512_shuffle_f64x2(t[5], t[7], 0x88);
+    const D u7 = _mm512_shuffle_f64x2(t[5], t[7], 0xdd);
+    r[0] = _mm512_shuffle_f64x2(u0, u4, 0x88);
+    r[4] = _mm512_shuffle_f64x2(u0, u4, 0xdd);
+    r[2] = _mm512_shuffle_f64x2(u1, u5, 0x88);
+    r[6] = _mm512_shuffle_f64x2(u1, u5, 0xdd);
+    r[1] = _mm512_shuffle_f64x2(u2, u6, 0x88);
+    r[5] = _mm512_shuffle_f64x2(u2, u6, 0xdd);
+    r[3] = _mm512_shuffle_f64x2(u3, u7, 0x88);
+    r[7] = _mm512_shuffle_f64x2(u3, u7, 0xdd);
   }
 };
 #endif  // __AVX512F__ && __AVX512DQ__

@@ -42,18 +42,21 @@ MonteCarloSsta::MonteCarloSsta(const Design& design, const StaEngine& sta,
 
 namespace {
 
-/// Sizes `s` for a run and zeroes its tallies.  Buffers only grow, so a
-/// scratch reused across runs stops allocating once it has seen the
-/// widest one.  Tallies are unsigned counts so the cross-worker merge is
-/// exact integer addition — bit-identical no matter which worker counted
-/// what.
+/// Sizes `s` for a run, zeroes its tallies and fills the BatchedSimd
+/// table-row keys at `sta`'s corners.  Buffers only grow, so a scratch
+/// reused across runs stops allocating once it has seen the widest one.
+/// Tallies are unsigned counts so the cross-worker merge is exact integer
+/// addition — bit-identical no matter which worker counted what.
 void prepare_scratch(McScratch& s, std::size_t width, std::size_t num_eps,
-                     std::size_t num_inst, DrawProfile profile) {
+                     const Design& design, const StaEngine& sta,
+                     const VariationModel& model, DrawProfile profile) {
   if (s.results.size() < width) s.results.resize(width);
   if (profile != DrawProfile::Scalar) {
+    const std::size_t num_inst = design.num_instances();
     if (s.factor_soa.size() < num_inst * width) {
       s.factor_soa.resize(num_inst * width);
     }
+    model.table_row_offsets(design, sta, s.row_offsets);
   } else if (s.factors.size() < width) {
     s.factors.resize(width);
   }
@@ -144,14 +147,16 @@ McResult MonteCarloSsta::run_with_systematic(
       return w;
     }
     auto w = std::make_shared<McWorker>(*sta_);
-    prepare_scratch(w->lanes, width, num_eps, num_inst, cfg.profile);
+    prepare_scratch(w->lanes, width, num_eps, *design_, *sta_, *model_,
+                    cfg.profile);
     workers.push_back(w);
     return w;
   };
   McScratch local;
   McScratch& serial = scratch != nullptr ? *scratch : local;
   if (pool == nullptr) {
-    prepare_scratch(serial, width, num_eps, num_inst, cfg.profile);
+    prepare_scratch(serial, width, num_eps, *design_, *sta_, *model_,
+                    cfg.profile);
   }
 
   const std::size_t total_batches = (cap + width - 1) / width;
@@ -163,7 +168,7 @@ McResult MonteCarloSsta::run_with_systematic(
       // Draw all lanes in one pass directly into the SoA layout the
       // propagation kernel consumes; no per-batch transpose.
       model_->draw_factors_batch(
-          *design_, engine, systematic, stencils, cfg.seed, first, lanes,
+          systematic, stencils, w.row_offsets, cfg.seed, first, lanes,
           std::span(w.factor_soa).first(num_inst * lanes), w.draw);
       engine.analyze_batch_soa(
           std::span<const double>(w.factor_soa).first(num_inst * lanes),

@@ -161,6 +161,9 @@ struct McResult {
 struct McScratch {
   std::vector<std::vector<double>> factors;  ///< Scalar profile lanes
   AlignedVec<double> factor_soa;  ///< BatchedSimd lanes (SoA, 64B)
+  /// BatchedSimd table-row key per instance, filled once per run
+  /// (VariationModel::table_row_offsets).
+  std::vector<std::int32_t> row_offsets;
   VariationModel::DrawScratch draw;
   std::vector<StaResult> results;
   std::vector<std::uint32_t> crit;        ///< samples with slack < 0

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "util/simd/dispatch.hpp"
+
 namespace vipvt {
 
 CorrelatedField::CorrelatedField(double pitch_um, int grid, double sigma_nm,
@@ -13,15 +15,13 @@ CorrelatedField::CorrelatedField(double pitch_um, int grid, double sigma_nm,
   for (auto& v : values_) v = rng.normal(0.0, sigma_nm);
 }
 
-CorrelatedField CorrelatedField::bulk(double pitch_um, int grid,
-                                      double sigma_nm, Rng& rng) {
-  CorrelatedField f;
-  f.pitch_um_ = pitch_um;
-  f.grid_ = grid;
-  f.values_.resize(static_cast<std::size_t>(grid + 1) * (grid + 1));
-  rng.normals_simd(f.values_);
-  for (auto& v : f.values_) v *= sigma_nm;
-  return f;
+void CorrelatedField::draw_bulk(double pitch_um, int grid, double sigma_nm,
+                                Rng& rng) {
+  pitch_um_ = pitch_um;
+  grid_ = grid;
+  values_.resize(static_cast<std::size_t>(grid + 1) * (grid + 1));
+  rng.normals_simd(values_);
+  for (auto& v : values_) v *= sigma_nm;
 }
 
 CorrelatedField::Stencil CorrelatedField::stencil_at(Point pos_um,
@@ -208,13 +208,22 @@ std::vector<double>& VariationModel::draw_factors(
   return factors;
 }
 
+void VariationModel::table_row_offsets(const Design& design,
+                                       const StaEngine& sta,
+                                       std::vector<std::int32_t>& out) const {
+  out.resize(design.num_instances());
+  for (InstId i = 0; i < out.size(); ++i) {
+    out[i] = tables_.row_offset(sta.inst_corner(i), design.cell_of(i).vth);
+  }
+}
+
 void VariationModel::draw_factors_batch(
-    const Design& design, const StaEngine& sta,
     std::span<const double> systematic_lgate_nm,
-    std::span<const CorrelatedField::Stencil> stencils, std::uint64_t seed,
+    std::span<const CorrelatedField::Stencil> stencils,
+    std::span<const std::int32_t> row_offsets, std::uint64_t seed,
     std::uint64_t first_sample, std::size_t width,
     std::span<double> factor_soa, DrawScratch& scratch) const {
-  const std::size_t n = design.num_instances();
+  const std::size_t n = row_offsets.size();
   if (systematic_lgate_nm.size() < n) {
     throw std::invalid_argument("draw_factors_batch: short systematic map");
   }
@@ -225,44 +234,51 @@ void VariationModel::draw_factors_batch(
   if (correlated && stencils.size() < n) {
     throw std::invalid_argument("draw_factors_batch: short stencil span");
   }
-  scratch.eps.resize(width * n);
+  // The lane owns the substream of global sample first_sample + lane, so
+  // its bits are a function of the sample index alone — never of width,
+  // batch boundaries or the thread schedule.  Its field draw comes first,
+  // then the two keys of its normal stream, as in a whole-design
+  // Rng::normals_simd fill.
+  scratch.keys.resize(width);
+  if (correlated && scratch.fields.size() < width) {
+    scratch.fields.resize(width);
+  }
+  for (std::size_t lane = 0; lane < width; ++lane) {
+    Rng rng(substream_seed(seed, first_sample + lane));
+    if (correlated) {
+      scratch.fields[lane].draw_bulk(cfg_.correlation_length_um, kCorrGrid,
+                                     sigma_correlated_nm(), rng);
+    }
+    scratch.keys[lane] = rng.normal_keys();
+  }
+  scratch.tile.resize(width * kDrawTile);
+  const simd::NormalsFillFn normals_fill = simd::active_kernels().normals_fill;
   const double clamp = cfg_.clamp_sigma * sigma_rnd_;
   const double sigma = correlated ? sigma_independent_nm() : sigma_rnd_;
-  for (std::size_t lane = 0; lane < width; ++lane) {
-    // The lane owns the substream of global sample first_sample + lane,
-    // so its bits are a function of the sample index alone — never of
-    // width, batch boundaries or the thread schedule.
-    Rng rng(substream_seed(seed, first_sample + lane));
-    double* eps = &scratch.eps[lane * n];
-    CorrelatedField field;
-    if (correlated) {
-      field = CorrelatedField::bulk(cfg_.correlation_length_um, kCorrGrid,
-                                    sigma_correlated_nm(), rng);
-    }
-    rng.normals_simd({eps, n});
-    if (correlated) {
-      for (std::size_t i = 0; i < n; ++i) {
-        eps[i] =
-            std::clamp(field.at(stencils[i]) + sigma * eps[i], -clamp, clamp);
-      }
-    } else {
-      for (std::size_t i = 0; i < n; ++i) {
-        eps[i] = std::clamp(sigma * eps[i], -clamp, clamp);
+  // Tile loop: the tile's normals, clamped eps and factors stay in L1
+  // between the three passes (DESIGN.md §17).
+  for (std::size_t begin = 0; begin < n; begin += kDrawTile) {
+    const std::size_t m = std::min(kDrawTile, n - begin);
+    for (std::size_t lane = 0; lane < width; ++lane) {
+      double* eps = &scratch.tile[lane * kDrawTile];
+      normals_fill(scratch.keys[lane].r, scratch.keys[lane].t, eps, begin,
+                   begin + m);
+      if (correlated) {
+        const CorrelatedField& field = scratch.fields[lane];
+        for (std::size_t k = 0; k < m; ++k) {
+          eps[k] = std::clamp(field.at(stencils[begin + k]) + sigma * eps[k],
+                              -clamp, clamp);
+        }
+      } else {
+        for (std::size_t k = 0; k < m; ++k) {
+          eps[k] = std::clamp(sigma * eps[k], -clamp, clamp);
+        }
       }
     }
+    tables_.eval_tile(row_offsets.data() + begin,
+                      systematic_lgate_nm.data() + begin, scratch.tile.data(),
+                      kDrawTile, m, width, factor_soa.data() + begin * width);
   }
-  // Transform pass, instance-major to match the SoA layout the batched
-  // propagation kernel consumes: one table-row index per instance, then
-  // the dispatched row-interpolation kernel gathers lanes with stride n.
-  // Bit-identical to a per-lane eval_row loop at every dispatch width
-  // (DESIGN.md §17).
-  scratch.rows.resize(n);
-  for (InstId i = 0; i < n; ++i) {
-    scratch.rows[i] = static_cast<std::int32_t>(
-        DelayFactorTables::row(sta.inst_corner(i), design.cell_of(i).vth));
-  }
-  tables_.eval_rows_batch(scratch.rows.data(), systematic_lgate_nm.data(),
-                          scratch.eps.data(), n, width, factor_soa.data());
 }
 
 }  // namespace vipvt

@@ -19,6 +19,7 @@
 #include "timing/sta.hpp"
 #include "util/aligned.hpp"
 #include "util/rng.hpp"
+#include "util/simd/kernels.hpp"
 #include "variation/field.hpp"
 #include "variation/tables.hpp"
 
@@ -45,11 +46,11 @@ class CorrelatedField {
   CorrelatedField() = default;  ///< inactive (i.i.d. model)
   CorrelatedField(double pitch_um, int grid, double sigma_nm, Rng& rng);
 
-  /// Counter-driven bulk draw of the node grid (Rng::normals_simd
-  /// instead of per-node polar normals) — the BatchedSimd profile's field
-  /// source (see DrawProfile in mc_ssta.hpp).
-  static CorrelatedField bulk(double pitch_um, int grid, double sigma_nm,
-                              Rng& rng);
+  /// Counter-driven bulk redraw of the node grid in place
+  /// (Rng::normals_simd instead of per-node polar normals) — the
+  /// BatchedSimd profile's field source (see DrawProfile in mc_ssta.hpp).
+  /// Reuses the node storage, so a field kept across draws allocates once.
+  void draw_bulk(double pitch_um, int grid, double sigma_nm, Rng& rng);
 
   bool active() const { return !values_.empty(); }
 
@@ -196,33 +197,46 @@ class VariationModel {
       std::span<const CorrelatedField::Stencil> stencils, Rng& rng,
       std::vector<double>& factors) const;
 
+  /// Per-instance DelayFactorTables::row_offset at the engine's corners
+  /// (the last compute_base() / restore_bases()), written into `out`: the
+  /// table-row key of draw_factors_batch.  Corners cannot change during a
+  /// Monte-Carlo run, so a run computes this once.
+  void table_row_offsets(const Design& design, const StaEngine& sta,
+                         std::vector<std::int32_t>& out) const;
+
+  /// Instances per draw tile of draw_factors_batch: one Box–Muller block.
+  static constexpr std::size_t kDrawTile = simd::kNormalsBlock;
+
   /// Reusable buffers of draw_factors_batch, kept across batches by the
-  /// caller (one per MC worker) to avoid per-batch allocation.  eps is
-  /// 64-byte aligned (util/aligned.hpp) for the transform kernel's wide
-  /// gathers; rows caches the per-instance table-row index feeding
-  /// DelayFactorTables::eval_rows_batch.
+  /// caller (one per MC worker) so a batch allocates nothing once they
+  /// have seen the widest batch.
   struct DrawScratch {
-    AlignedVec<double> eps;          // width x instances, lane-major
-    std::vector<std::int32_t> rows;  // instances (table row per instance)
+    AlignedVec<double> tile;             ///< width x kDrawTile, lane-major
+    std::vector<Rng::NormalKeys> keys;   ///< per lane
+    std::vector<CorrelatedField> fields; ///< per lane (correlated only)
   };
 
   /// BatchedSimd draw profile: fill `factor_soa` — instance-major,
   /// factor_soa[i * width + lane] — with `width` independent whole-design
   /// draws in one pass.  Lane `l` owns the RNG substream of global sample
   /// first_sample + l (substream_seed, same keying as the scalar path),
-  /// draws its normals in bulk (Rng::normals_simd, the arch-invariant
-  /// stream of DESIGN.md §17) and maps Lgate to delay factor through the
-  /// interpolation tables.  Every lane's bits are a function of
-  /// (seed, global sample index) alone — never of width, batch
-  /// boundaries, the thread schedule or the dispatch target — which is
-  /// the profile's determinism contract.  NOTE: this is a different
-  /// (statistically equivalent) stream than the scalar path's polar
-  /// normals; the two profiles do not produce bit-identical samples by
-  /// design.  The Lgate-to-factor transform runs through the dispatched
-  /// table kernel, which is bit-identical to eval_row at every width.
-  void draw_factors_batch(const Design& design, const StaEngine& sta,
-                          std::span<const double> systematic_lgate_nm,
+  /// draws its normals in bulk (the Rng::normals_simd stream, the
+  /// arch-invariant stream of DESIGN.md §17) and maps Lgate to delay
+  /// factor through the interpolation tables; `row_offsets` (one per
+  /// instance, from table_row_offsets) picks each instance's table row.
+  /// Every lane's bits are a function of (seed, global sample index)
+  /// alone — never of width, batch boundaries, the thread schedule or
+  /// the dispatch target — which is the profile's determinism contract.
+  /// NOTE: this is a different (statistically equivalent) stream than
+  /// the scalar path's polar normals; the two profiles do not produce
+  /// bit-identical samples by design.
+  ///
+  /// The batch is drawn one kDrawTile-instance tile at a time: every
+  /// lane's normals for the tile, the clamp, then the dispatched table
+  /// kernel, which writes the tile's SoA rows directly (DESIGN.md §17).
+  void draw_factors_batch(std::span<const double> systematic_lgate_nm,
                           std::span<const CorrelatedField::Stencil> stencils,
+                          std::span<const std::int32_t> row_offsets,
                           std::uint64_t seed, std::uint64_t first_sample,
                           std::size_t width, std::span<double> factor_soa,
                           DrawScratch& scratch) const;

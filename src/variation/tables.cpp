@@ -61,13 +61,13 @@ DelayFactorTables::DelayFactorTables(const CharParams& cp, double lo_nm,
   }
 }
 
-void DelayFactorTables::eval_rows_batch(const std::int32_t* rows,
-                                        const double* sys, const double* eps,
-                                        std::size_t n, std::size_t width,
-                                        double* out) const {
-  simd::active_kernels().draw_transform(
-      coef_.data(), 2 * intervals_, lo_, step_, inv_step_, intervals_, rows,
-      sys, eps, out, n, width);
+void DelayFactorTables::eval_tile(const std::int32_t* row_off,
+                                  const double* sys, const double* eps,
+                                  std::size_t eps_stride, std::size_t m,
+                                  std::size_t width, double* out) const {
+  simd::active_kernels().draw_transform(coef_.data(), row_off, lo_, step_,
+                                        inv_step_, intervals_, sys, eps,
+                                        eps_stride, out, m, width);
 }
 
 }  // namespace vipvt

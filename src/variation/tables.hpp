@@ -67,17 +67,22 @@ class DelayFactorTables {
     return eval_row(row_data(row(corner, vth)), lgate_nm);
   }
 
-  /// Batched eval_row over a whole draw: for instance i and lane l,
-  ///   out[i * width + l] = eval_row(row_data(rows[i]),
-  ///                                 sys[i] + eps[l * n + i])
-  /// with eps lane-major (stride n between lanes) and out instance-major.
-  /// Runs through the runtime-dispatched SIMD kernel (DESIGN.md §17);
-  /// every dispatch target reproduces eval_row() bit-for-bit, so this is
-  /// a pure throughput variant, never a numeric one.  Defined in
-  /// tables.cpp.
-  void eval_rows_batch(const std::int32_t* rows, const double* sys,
-                       const double* eps, std::size_t n, std::size_t width,
-                       double* out) const;
+  /// Offset of row(corner, vth)'s coefficients in the table storage: the
+  /// per-instance row key of eval_tile().
+  std::int32_t row_offset(int corner, VthClass vth) const {
+    return row(corner, vth) * 2 * intervals_;
+  }
+
+  /// eval_row over one draw tile: for instance i < m and lane l < width,
+  ///   out[i * width + l] = eval_row(row at row_off[i],
+  ///                                 sys[i] + eps[l * eps_stride + i])
+  /// with eps lane-major and out instance-major.  Runs through the
+  /// runtime-dispatched SIMD kernel (DESIGN.md §17); every dispatch
+  /// target reproduces eval_row() bit-for-bit, so this is a pure
+  /// throughput variant, never a numeric one.  Defined in tables.cpp.
+  void eval_tile(const std::int32_t* row_off, const double* sys,
+                 const double* eps, std::size_t eps_stride, std::size_t m,
+                 std::size_t width, double* out) const;
 
   /// Evaluate one row at `lgate_nm` and also report the segment slope
   /// d(factor)/d(Lgate) [1/nm] — the exact derivative of the

@@ -108,6 +108,7 @@ const CompensationController::Level& CompensationController::level(int k) {
       canon_[slot] = k;
     }
     held_ = canon_[slot];
+    held_gen_ = sta_->base_generation();
   }
   return *levels_[static_cast<std::size_t>(canon_[slot])];
 }
@@ -118,9 +119,10 @@ int CompensationController::canonical_level(int k) {
 }
 
 void CompensationController::hold(int c) {
-  if (held_ == c) return;
+  if (held_ == c && held_gen_ == sta_->base_generation()) return;
   sta_->restore_bases(levels_[static_cast<std::size_t>(c)]->snap);
   held_ = c;
+  held_gen_ = sta_->base_generation();
 }
 
 void CompensationController::level_factors(int c, std::vector<double>& out) {
@@ -154,14 +156,11 @@ void CompensationController::set_level(int k) {
   if (k > plan_->num_islands()) {
     throw std::invalid_argument("set_level: level out of range");
   }
-  sta_->restore_bases(level(k).snap);
-  held_ = canon_[static_cast<std::size_t>(k)];
+  hold(canonical_level(k));
 }
 
 void CompensationController::set_chip_wide() {
-  const int k = plan_->num_islands() + 1;
-  sta_->restore_bases(level(k).snap);
-  held_ = canon_[static_cast<std::size_t>(k)];
+  hold(canonical_level(plan_->num_islands() + 1));
 }
 
 CompensationOutcome CompensationController::compensate(const VirtualChip& chip,

@@ -97,7 +97,9 @@ class CompensationController {
   /// first request for a level runs that compute_base() and caches its
   /// snapshot for the controller's lifetime, so a wafer worker reusing
   /// one controller across dies pays each level once, not once per die
-  /// (DESIGN.md §12).
+  /// (DESIGN.md §12).  No restore runs when the engine still holds the
+  /// level's bases (same StaEngine::base_generation as when the
+  /// controller installed them).
   void set_level(int k);
 
   /// Same, for the chip-wide all-high fallback assignment (the yield
@@ -161,10 +163,12 @@ class CompensationController {
   /// own a Level.
   std::vector<int> canon_;
   std::vector<std::unique_ptr<Level>> levels_;
-  /// Canonical slot whose bases the engine holds.  Trusted only inside
-  /// compensate(), which starts with an unconditional restore: callers
-  /// may re-base the engine between calls.
+  /// Canonical slot whose bases the engine holds, valid while the
+  /// engine's base generation equals held_gen_: a caller that re-bases
+  /// the engine between calls advances the generation and so forces the
+  /// next hold() to restore.
   int held_ = -1;
+  std::uint64_t held_gen_ = 0;
 
   /// Per-die state, reused across compensate() calls.  epoch_ numbers
   /// the dies; a stamp equal to it marks an entry as this die's.

@@ -160,6 +160,8 @@ IslandPlan IslandGenerator::generate(
   // from both sides and keep the plan that compensates the mildest
   // scenario with the smaller first island (ties: fewer total cells).
   const IslandPlan low_plan = build_from_side(true);
+  std::vector<DomainId> low_domains(n);
+  for (InstId i = 0; i < n; ++i) low_domains[i] = d.instance(i).domain;
   const IslandPlan high_plan = build_from_side(false);
   auto better = [&](const IslandPlan& a, const IslandPlan& b) {
     const bool a_ok = a.feasible.empty() || a.feasible.front();
@@ -171,9 +173,12 @@ IslandPlan IslandGenerator::generate(
     return a.total_island_cells() <= b.total_island_cells();
   };
   const bool use_low = better(low_plan, high_plan);
-  // The high-side build overwrote the domains; rebuilding the winner
-  // re-applies its domain assignment.
-  const IslandPlan plan = use_low ? build_from_side(true) : high_plan;
+  // The high-side build overwrote the domains; a low-side win puts its
+  // saved assignment back.
+  if (use_low) {
+    for (InstId i = 0; i < n; ++i) d.instance(i).domain = low_domains[i];
+  }
+  const IslandPlan& plan = use_low ? low_plan : high_plan;
 
   // Restore nominal base delays for the caller.
   sta_->compute_base_all_low();

@@ -287,8 +287,9 @@ DieOutcome YieldAnalyzer::die_outcome(
     out.mc_stop = McStop::FixedBudget;
     out.fmax_ghz = triage->fmax_ghz;
   } else {
-    // Only MC reads the engine's bases here; compensate() restores level
-    // 0 itself, so decided dies skip this restore.
+    // Only MC reads the engine's bases here, so decided dies skip this
+    // restore; MC leaves the bases alone, so compensate() finds level 0
+    // still installed and does not restore it again.
     ctrl.set_level(0);
     McConfig mcc = cfg.mc;
     mcc.seed = die_rng.next();

@@ -203,6 +203,51 @@ TEST_F(IslandFixture, HorizontalDirectionAlsoWorks) {
   vgen.generate(locs);
 }
 
+// The low side wins on the point-reflected placement (wire lengths, and
+// so the base timing, unchanged) in both slice directions.  The winner's
+// domains are restored from the low-side build, not rebuilt: every
+// instance must sit in the island whose cut range holds its slice key.
+TEST_F(IslandFixture, LowSideWinKeepsItsDomainsInBothDirections) {
+  const auto locs = severity_locations();
+  Design mirrored = *design_;
+  const Rect& die = fp_->die();
+  for (InstId i = 0; i < mirrored.num_instances(); ++i) {
+    Point& p = mirrored.instance(i).pos;
+    p = {die.lo.x + die.hi.x - p.x, die.lo.y + die.hi.y - p.y};
+  }
+  StaEngine sta(mirrored, sta_->options());
+  for (const SliceDir dir : {SliceDir::Vertical, SliceDir::Horizontal}) {
+    SCOPED_TRACE(slice_dir_name(dir));
+    IslandConfig cfg;
+    cfg.dir = dir;
+    cfg.mc_samples = 40;
+    IslandGenerator gen(mirrored, *fp_, sta, *model_, cfg);
+    const IslandPlan plan = gen.generate(locs);
+    ASSERT_TRUE(plan.from_low_side);
+    ASSERT_GT(plan.total_island_cells(), 0u);
+    std::vector<std::size_t> cells(plan.cell_count.size());
+    for (InstId i = 0; i < mirrored.num_instances(); ++i) {
+      const Instance& inst = mirrored.instance(i);
+      const double key = dir == SliceDir::Vertical ? inst.pos.x - die.lo.x
+                                                   : inst.pos.y - die.lo.y;
+      if (inst.domain == kDomainBase) {
+        EXPECT_GE(key, plan.cuts.back()) << inst.name;
+        continue;
+      }
+      ASSERT_LE(inst.domain, plan.num_islands());
+      const auto k = static_cast<std::size_t>(inst.domain) - 1;
+      ++cells[k];
+      // Island k spans [cuts[k-1], cuts[k]); a key equal to a cut may
+      // fall on either side of it (equal keys sort in any order).
+      EXPECT_LE(key, plan.cuts[k]) << inst.name;
+      if (k > 0) EXPECT_GE(key, plan.cuts[k - 1]) << inst.name;
+    }
+    for (std::size_t k = 0; k < cells.size(); ++k) {
+      EXPECT_EQ(cells[k], plan.cell_count[k]) << "island " << k + 1;
+    }
+  }
+}
+
 TEST(IslandPlanUnit, CornersForSeverity) {
   IslandPlan plan;
   plan.cuts = {10.0, 20.0, 30.0};

@@ -182,37 +182,57 @@ TEST(SimdKernels, DrawTransformMatchesEvalRowAtEdges) {
     EXPECT_EQ(slope_above, slope_last);
   }
 
-  // Batched: instances cycle rows x points; lane eps spread around zero
-  // plus a lane pinned at exactly zero so the boundary points stay on
-  // their boundaries in at least one lane.
-  const std::size_t n = points.size() * DelayFactorTables::kRows;
-  std::vector<std::int32_t> rows(n);
-  std::vector<double> sys(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    rows[i] = static_cast<std::int32_t>(i % DelayFactorTables::kRows);
-    sys[i] = points[i / DelayFactorTables::kRows];
+  // The tile kernel: instances cycle rows x points; lane eps spread
+  // around zero plus a lane pinned at exactly zero so the boundary points
+  // stay on their boundaries in at least one lane.  Tile sizes cover a
+  // single instance, odd and one-short tails and a full tile; the eps
+  // stride differs from m; the output gets a guard band that must stay
+  // untouched.
+  for (int r = 0; r < DelayFactorTables::kRows; ++r) {
+    EXPECT_EQ(tbl.row_data(r), tbl.row_data(0) + r * 2 * intervals);
   }
+  EXPECT_EQ(tbl.row_offset(kVddLow, VthClass::Svt),
+            DelayFactorTables::row(kVddLow, VthClass::Svt) * 2 * intervals);
+  EXPECT_EQ(tbl.row_offset(kVddHigh, VthClass::Hvt),
+            DelayFactorTables::row(kVddHigh, VthClass::Hvt) * 2 * intervals);
   ArchGuard guard;
-  for (const std::size_t width : {std::size_t{1}, std::size_t{3},
-                                  std::size_t{8}, std::size_t{9}}) {
-    AlignedVec<double> eps(width * n);
-    for (std::size_t l = 0; l < width; ++l) {
-      for (std::size_t i = 0; i < n; ++i) {
-        eps[l * n + i] = l == 0 ? 0.0 : (rng.uniform() - 0.5) * range;
-      }
+  constexpr double kGuard = -12345.0;
+  constexpr std::size_t kGuardLen = 16;
+  for (const std::size_t m : {std::size_t{1}, std::size_t{7}, std::size_t{255},
+                              std::size_t{256}}) {
+    std::vector<std::int32_t> row_off(m);
+    std::vector<double> sys(m);
+    for (std::size_t i = 0; i < m; ++i) {
+      const auto r = static_cast<int>(i % DelayFactorTables::kRows);
+      row_off[i] = r * 2 * intervals;
+      sys[i] = points[(i / DelayFactorTables::kRows) % points.size()];
     }
-    std::vector<double> out(n * width);
-    for (const simd::Arch a : simd::available_archs()) {
-      ASSERT_TRUE(simd::set_arch(a));
-      tbl.eval_rows_batch(rows.data(), sys.data(), eps.data(), n, width,
-                          out.data());
-      for (std::size_t i = 0; i < n; ++i) {
-        const double* rd = tbl.row_data(rows[i]);
-        for (std::size_t l = 0; l < width; ++l) {
-          EXPECT_EQ(out[i * width + l],
-                    tbl.eval_row(rd, sys[i] + eps[l * n + i]))
-              << simd::arch_name(a) << " width " << width << " inst " << i
-              << " lane " << l;
+    const std::size_t stride = m + 3;
+    for (const std::size_t width : {std::size_t{1}, std::size_t{3},
+                                    std::size_t{8}, std::size_t{9}}) {
+      std::vector<double> eps(width * stride, 1e300);  // gaps never read
+      for (std::size_t l = 0; l < width; ++l) {
+        for (std::size_t i = 0; i < m; ++i) {
+          eps[l * stride + i] = l == 0 ? 0.0 : (rng.uniform() - 0.5) * range;
+        }
+      }
+      for (const simd::Arch a : simd::available_archs()) {
+        ASSERT_TRUE(simd::set_arch(a));
+        std::vector<double> out(m * width + kGuardLen, kGuard);
+        tbl.eval_tile(row_off.data(), sys.data(), eps.data(), stride, m, width,
+                      out.data());
+        for (std::size_t i = 0; i < m; ++i) {
+          const double* rd = tbl.row_data(0) + row_off[i];
+          for (std::size_t l = 0; l < width; ++l) {
+            EXPECT_EQ(out[i * width + l],
+                      tbl.eval_row(rd, sys[i] + eps[l * stride + i]))
+                << simd::arch_name(a) << " m " << m << " width " << width
+                << " inst " << i << " lane " << l;
+          }
+        }
+        for (std::size_t g = m * width; g < out.size(); ++g) {
+          EXPECT_EQ(out[g], kGuard) << simd::arch_name(a) << " m " << m
+                                    << " width " << width << " overrun";
         }
       }
     }
@@ -243,6 +263,36 @@ TEST(SimdKernels, NormalsSimdArchInvariant) {
     twin.next();
     twin.next();
     EXPECT_EQ(rng.next(), twin.next()) << simd::arch_name(a);
+  }
+}
+
+// normals_fill over a range [begin, end) writes exactly that slice of the
+// full stream on every target: ranges that start or end on a sine
+// deviate, single elements, block-straddling and block-aligned ranges,
+// and the odd tail of an odd-length fill.
+TEST(SimdKernels, NormalsFillRangeMatchesFullFillSlice) {
+  constexpr std::size_t kN = 1001;
+  Rng rng(0x4a17ULL);
+  std::vector<double> full(kN);
+  Rng(0x4a17ULL).normals_simd(full);
+  const Rng::NormalKeys keys = rng.normal_keys();
+  const std::pair<std::size_t, std::size_t> ranges[] = {
+      {0, 1},     {0, 2},     {1, 2},     {1, 4},     {3, 4},
+      {5, 10},    {127, 129}, {255, 256}, {255, 257}, {256, 512},
+      {256, 511}, {257, 768}, {3, 1000},  {0, kN},    {999, kN},
+      {1000, kN}, {512, 513}, {7, 7}};
+  for (const simd::Arch a : simd::available_archs()) {
+    const simd::Kernels& k = *simd::kernels_for(a);
+    for (const auto& [begin, end] : ranges) {
+      std::vector<double> out(end - begin + 1, -1.0);
+      k.normals_fill(keys.r, keys.t, out.data(), begin, end);
+      for (std::size_t i = begin; i < end; ++i) {
+        EXPECT_EQ(out[i - begin], full[i])
+            << simd::arch_name(a) << " [" << begin << ", " << end << ") at "
+            << i;
+      }
+      EXPECT_EQ(out.back(), -1.0) << simd::arch_name(a) << " overrun";
+    }
   }
 }
 

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <functional>
 #include <numbers>
 #include <set>
 #include <sstream>
@@ -461,6 +462,75 @@ TEST_F(YieldFixture, BatchedProfileReportBitIdenticalAcrossThreadCounts) {
   // statistically in McFixture.BatchedProfileAgreesWithScalarStatistically,
   // not bit-wise here).
   EXPECT_NE(reference, serialize(*wafer_, *report_));
+}
+
+// A flat-tier die restores the level-0 bases once, before its MC run:
+// compensate() finds them still installed (same base generation) and
+// skips the restore it used to repeat.  The die's own sequence is replayed
+// by hand (set_level(0), MC seed, fabricate, compensate) to count it
+// against the old one, where compensate() restored level 0 again; a
+// re-base between the two still forces the restore, with the same bits.
+TEST_F(YieldFixture, FlatDieRestoresLevelZeroOnce) {
+  const YieldAnalyzer analyzer = YieldAnalyzer::from_flow(*flow_);
+  const Design& design = flow_->design();
+  const VariationModel& model = flow_->variation();
+  StaEngine engine(flow_->sta());
+  CompensationController ctrl(design, engine, model, flow_->island_plan(),
+                              flow_->razor_plan());
+  const YieldConfig cfg = test_yield_config();
+  ASSERT_EQ(cfg.effective_tier(), EvalTier::Flat);
+  const WaferDie& warm = wafer_->dies()[0];
+  const WaferDie& die = wafer_->dies()[1];
+  const std::vector<double> warm_map =
+      model.systematic_lgates(design, warm.location);
+  const std::vector<double> map = model.systematic_lgates(design, die.location);
+  (void)analyzer.analyze_die_with(engine, ctrl, warm, cfg, warm_map);
+  const int chip_wide = flow_->island_plan().num_islands() + 1;
+  ASSERT_NE(ctrl.canonical_level(chip_wide), ctrl.canonical_level(0));
+
+  // Each run starts from the chip-wide bases, so level 0 must be restored.
+  ctrl.set_chip_wide();
+  std::uint64_t g = engine.base_generation();
+  const DieOutcome truth =
+      analyzer.analyze_die_with(engine, ctrl, die, cfg, map);
+  const std::uint64_t die_rebases = engine.base_generation() - g;
+
+  Rng die_rng(substream_seed(cfg.seed, static_cast<std::uint64_t>(die.id)));
+  (void)die_rng.next();  // the MC seed
+  Rng fab_rng = die_rng.fork();
+  const VirtualChip chip =
+      fabricate_chip(design, model, die.location, map, fab_rng);
+  const auto replay = [&](const std::function<void()>& between) {
+    ctrl.set_chip_wide();
+    g = engine.base_generation();
+    ctrl.set_level(0);
+    between();
+    const CompensationOutcome out =
+        ctrl.compensate(chip, cfg.allow_escalation,
+                        cfg.allow_chip_wide_fallback);
+    EXPECT_EQ(out.wns_before, truth.wns_all_low_ns);
+    EXPECT_EQ(out.wns_after, truth.wns_final_ns);
+    EXPECT_EQ(out.islands_raised, truth.islands_raised);
+    EXPECT_EQ(out.detected_severity, truth.detected_severity);
+    return engine.base_generation() - g;
+  };
+  EXPECT_EQ(replay([] {}), die_rebases);
+  // The old sequence: compensate() restored level 0 a second time.
+  // Doing that restore by hand re-bases the engine, so compensate()
+  // restores once more: two rebases over the die, one over the old walk.
+  const StaEngine::BaseSnapshot level0 = engine.snapshot_bases();
+  EXPECT_EQ(replay([&] { engine.restore_bases(level0); }), die_rebases + 2);
+  // Installing other bases behind the controller's back must not leak
+  // into the die's verdict.
+  EXPECT_EQ(replay([&] {
+              engine.compute_base(std::vector<int>(
+                  static_cast<std::size_t>(chip_wide), kVddHigh));
+            }),
+            die_rebases + 2);
+  // Assigning an engine over it advances the generation too.
+  g = engine.base_generation();
+  engine = StaEngine(flow_->sta());
+  EXPECT_GT(engine.base_generation(), g);
 }
 
 // ---- per-worker die scratch (DESIGN.md §20) --------------------------------
